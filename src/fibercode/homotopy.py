@@ -4,14 +4,24 @@ Two chain complexes are treated as interchangeable codes when they are
 homotopy equivalent through maps with small Lipschitz constants: the
 equivalence transports minimum-distance bounds and decoders between
 them. This module provides the equivalence algebra (chain maps,
-homotopies, exact verification, Lipschitz measurement), the two
-elementary rewrites that generate equivalences — combining the two
-edges meeting at a degree-2 vertex, and collapsing an edge with two
-endpoints — and the weight-reduction pipelines built by composing those
-rewrites: one for classical codes, reducing every bit and check degree
-to 2 or 3, and one for twisted circle bundles, where each rewrite is
-lifted fiberwise after a gauge change that clears the twists at the
-rewrite site.
+homotopies, exact verification, Lipschitz measurement, composition and
+transposition), the two elementary rewrites that generate equivalences
+— combining the two edges meeting at a degree-2 vertex, and collapsing
+an edge with two endpoints — and weight reduction (Hastings,
+arXiv:1611.03790), which caps every bit and check degree of a classical
+code at 3 and carries twisted circle bundles along with their base.
+
+Weight reduction is a fixed splitting: every bit and check becomes one
+copy per incidence, chained by auxiliary cells. Its equivalence is
+written down in closed form from that layout — f collapses copies onto
+originals, g opens each original into its copy chain, h pushes along
+the auxiliary chains — and checked once with an exact verify(). For a
+bundle the same base maps are lifted fiberwise in one pass, shifting an
+entry by the twist of the Tanner edge it crosses, with one anchor turn
+per connected component (see weight_reduce_bundle). The result equals,
+matrix for matrix, the composite of one verified combine or collapse
+per auxiliary cell, which tests/reduction_reference.py keeps as the
+reference.
 
 Conventions. A classical code is a 1-complex with checks as 0-cells and
 bits as 1-cells. A degree-raising homotopy on a complex with top degree
@@ -29,19 +39,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from fibercode.bundle import Bundle, PlainBase, build_bundle, gauge_transform
+from fibercode.bundle import Bundle, PlainBase, build_bundle
 from fibercode.complexes import ChainComplex, transpose_complex
 from fibercode.gf2 import Gf2Matrix, from_alist, to_alist
 
 __all__ = [
     "ChainMap",
     "HomotopyEquivalence",
-    "identity_equivalence",
-    "verify_homotopy",
-    "lipschitz",
     "combine_cells",
     "collapse_cell",
-    "compose_equivalences",
     "transpose_equivalence",
     "reverse_equivalence",
     "weight_reduce_classical",
@@ -102,10 +108,6 @@ class ChainMap:
     def transpose_lipschitz(self) -> tuple[int, ...]:
         """Lipschitz constants of the transposed map, degree-aligned."""
         return tuple(m.max_row_weight() for m in self.maps)
-
-
-def lipschitz(chain_map: ChainMap) -> tuple[int, ...]:
-    return chain_map.lipschitz()
 
 
 def _zero_homotopy(cx: ChainComplex) -> tuple[Gf2Matrix, ...]:
@@ -215,20 +217,6 @@ def _homotopy_holds(
     return True
 
 
-def identity_equivalence(cx: ChainComplex) -> HomotopyEquivalence:
-    return HomotopyEquivalence.identity(cx)
-
-
-def verify_homotopy(equiv: HomotopyEquivalence) -> bool:
-    return equiv.verify()
-
-
-def compose_equivalences(
-    first: HomotopyEquivalence, second: HomotopyEquivalence
-) -> HomotopyEquivalence:
-    return first.compose(second)
-
-
 def transpose_equivalence(
     equiv: HomotopyEquivalence,
     source: ChainComplex | None = None,
@@ -263,22 +251,6 @@ def reverse_equivalence(equiv: HomotopyEquivalence) -> HomotopyEquivalence:
     the reversal of a valid equivalence is valid without recomputation.
     """
     return HomotopyEquivalence(equiv.g, equiv.f, equiv.h_target, equiv.h_source)
-
-
-def _rebind(
-    equiv: HomotopyEquivalence,
-    source: ChainComplex,
-    target: ChainComplex,
-) -> HomotopyEquivalence:
-    """Swap in caller-owned complex objects equal to the pipeline's."""
-    if source != equiv.f.source or target != equiv.f.target:
-        raise ValueError("replacement complexes differ from the originals")
-    return HomotopyEquivalence(
-        ChainMap(source, target, equiv.f.maps),
-        ChainMap(target, source, equiv.g.maps),
-        equiv.h_source,
-        equiv.h_target,
-    )
 
 
 # -- elementary rewrites -------------------------------------------------------
@@ -379,22 +351,27 @@ def collapse_cell(
     return rewritten, equiv
 
 
-# -- classical weight reduction --------------------------------------------------
+# -- weight reduction ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ReducedLayout:
+    """The degree-reduced rewrite of a classical code, with cell indices.
+
+    bit_checks[b] and check_bits[c] are the original incidences in
+    ascending order. Reduced cells are keyed by their origin:
+    bit_index[(b, c)] is b{b}.c{c}, check_index[(c, b)] is c{c}.b{b},
+    aux_bit_index[(c, k)] is ab{c}.{k} and aux_check_index[(b, j)] is
+    ac{b}.{j}.
+    """
+
     complex: ChainComplex
+    bit_checks: tuple[tuple[int, ...], ...]
+    check_bits: tuple[tuple[int, ...], ...]
     bit_index: dict[tuple[int, int], int]
     check_index: dict[tuple[int, int], int]
-
-
-@dataclass(frozen=True)
-class _RewriteStep:
-    kind: str  # "combine" | "collapse"
-    site: int  # removed middle cell, indexed in the source complex
-    merged: tuple[int, int]  # the two cells being merged, ascending
-    equivalence: HomotopyEquivalence
+    aux_bit_index: dict[tuple[int, int], int]
+    aux_check_index: dict[tuple[int, int], int]
 
 
 def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
@@ -409,8 +386,8 @@ def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
         raise ValueError("weight reduction works on 1-complexes")
     d1 = cx.boundary(1)
     n0, n1 = cx.dims
-    bit_checks = [d1.col_support(b) for b in range(n1)]
-    check_bits = [d1.row_support(c) for c in range(n0)]
+    bit_checks = tuple(d1.col_support(b) for b in range(n1))
+    check_bits = tuple(d1.row_support(c) for c in range(n0))
     if any(not s for s in bit_checks) or any(not s for s in check_bits):
         raise ValueError(
             "weight reduction needs every bit in some check and every "
@@ -461,50 +438,78 @@ def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
         (Gf2Matrix.from_col_support(cols, len(check_labels)),),
         (tuple(check_labels), tuple(bit_labels)),
     )
-    return _ReducedLayout(reduced, bit_index, check_index)
+    return _ReducedLayout(
+        reduced,
+        bit_checks,
+        check_bits,
+        bit_index,
+        check_index,
+        aux_bit_index,
+        aux_check_index,
+    )
 
 
-def _reduction_pipeline(
-    cx: ChainComplex,
-) -> tuple[_ReducedLayout, list[_RewriteStep], HomotopyEquivalence]:
-    """Rewrites taking the reduced complex back to the original.
+# A map column as (row, edge) entries. edge is the Tanner edge (b, c)
+# when the entry runs from bit b's frame (b{b}.*, ac{b}.*, bit b) into
+# check c's frame (c{c}.*, ab{c}.*, check c), and None otherwise; a
+# bundle lift shifts exactly those entries by the twist on the edge.
+_Column = list[tuple[int, "tuple[int, int] | None"]]
 
-    Combines remove the auxiliary equality checks of each bit, merging
-    its copies; collapses remove the auxiliary carry bits of each check,
-    merging its copies. The final complex must reproduce the original
-    boundary matrix exactly.
+
+def _closed_form(layout: _ReducedLayout) -> tuple[list[_Column], ...]:
+    """Columns of f0, f1, g0, g1 and h0 for the reduction of layout.
+
+    With c_0 < ... < c_{d-1} the checks of bit b, b_0 < ... < b_{e-1}
+    the bits of check c, and carry(c, b_k) = ab{c}.1 + ... + ab{c}.k:
+
+        f0: c{c}.b{b} -> c,  ac{b}.j -> c_j + ... + c_{d-1}
+        f1: b{b}.c{c_0} -> b, every other reduced bit -> 0
+        g0: c -> c{c}.b{b_0}
+        g1: b -> open(b, 0)
+        h0: c{c}.b{b} -> carry(c, b),  ac{b}.j -> open(b, j)
+
+    where open(b, j) = sum over i >= j of b{b}.c{c_i} + carry(c_i, b).
+    f is a left inverse of g, so h_target = 0 and h_source has h0 as
+    its only nonzero degree.
     """
-    layout = _reduced_layout(cx)
-    d1 = cx.boundary(1)
-    cur = layout.complex
-    equiv = identity_equivalence(cur)
-    steps: list[_RewriteStep] = []
+    bit_checks, check_bits = layout.bit_checks, layout.check_bits
+    n_checks, n_bits = layout.complex.dims
+    carry: dict[tuple[int, int], list[int]] = {}
+    for c, bits in enumerate(check_bits):
+        for k, b in enumerate(bits):
+            carry[(c, b)] = [
+                layout.aux_bit_index[(c, i)] for i in range(1, k + 1)
+            ]
 
-    for b in range(cx.dims[1]):
-        for j in range(1, len(d1.col_support(b))):
-            site = cur.labels[0].index(f"ac{b}.{j}")
-            merged = cur.boundary(1).row_support(site)
-            nxt, step_eq = combine_cells(cur, site)
-            steps.append(_RewriteStep("combine", site, merged, step_eq))
-            equiv = equiv.compose(step_eq)
-            cur = nxt
-    for c in range(cx.dims[0]):
-        for k in range(1, len(d1.row_support(c))):
-            site = cur.labels[1].index(f"ab{c}.{k}")
-            merged = cur.boundary(1).col_support(site)
-            nxt, step_eq = collapse_cell(cur, site)
-            steps.append(_RewriteStep("collapse", site, merged, step_eq))
-            equiv = equiv.compose(step_eq)
-            cur = nxt
+    def open_chain(b: int, j: int) -> _Column:
+        tail = bit_checks[b][j:]
+        return [(layout.bit_index[(b, c)], None) for c in tail] + [
+            (a, (b, c)) for c in tail for a in carry[(c, b)]
+        ]
 
-    if cur.dims != cx.dims or cur.boundary(1) != d1:
-        raise RuntimeError(
-            "weight-reduction rewrites failed to rebuild the original complex"
-        )
-    equiv = _rebind(equiv, layout.complex, cx)
-    if not equiv.verify():
-        raise RuntimeError("composed reduction equivalence failed verification")
-    return layout, steps, equiv
+    f0: list[_Column] = [[] for _ in range(n_checks)]
+    h0: list[_Column] = [[] for _ in range(n_checks)]
+    for (c, b), x in layout.check_index.items():
+        f0[x] = [(c, None)]
+        h0[x] = [(a, None) for a in carry[(c, b)]]
+    for (b, j), x in layout.aux_check_index.items():
+        f0[x] = [(c, (b, c)) for c in bit_checks[b][j:]]
+        h0[x] = open_chain(b, j)
+    f1: list[_Column] = [[] for _ in range(n_bits)]
+    for b, checks in enumerate(bit_checks):
+        f1[layout.bit_index[(b, checks[0])]] = [(b, None)]
+    g0 = [
+        [(layout.check_index[(c, bits[0])], None)]
+        for c, bits in enumerate(check_bits)
+    ]
+    g1 = [open_chain(b, 0) for b in range(len(bit_checks))]
+    return f0, f1, g0, g1, h0
+
+
+def _support(cols: list[_Column], n_rows: int) -> Gf2Matrix:
+    return Gf2Matrix.from_col_support(
+        [[y for y, _ in col] for col in cols], n_rows
+    )
 
 
 def weight_reduce_classical(code) -> tuple[ChainComplex, HomotopyEquivalence]:
@@ -516,269 +521,104 @@ def weight_reduce_classical(code) -> tuple[ChainComplex, HomotopyEquivalence]:
     base code (anything with as_complex()) or a 1-complex. Returns the
     reduced complex and a verified equivalence whose forward map runs
     reduced -> original with the reverse-forward composite on the
-    original side exactly the identity.
+    original side exactly the identity. The maps are the closed form of
+    _closed_form: f collapses copies onto originals, g opens each
+    original into its copy chain, h pushes along the auxiliary chains.
     """
     cx = code.as_complex() if hasattr(code, "as_complex") else code
-    layout, _, equiv = _reduction_pipeline(cx)
-    return layout.complex, equiv
+    layout = _reduced_layout(cx)
+    reduced = layout.complex
+    (n0, n1), (r0, r1) = cx.dims, reduced.dims
+    f0, f1, g0, g1, h0 = _closed_form(layout)
+    equiv = HomotopyEquivalence(
+        ChainMap(reduced, cx, (_support(f0, n0), _support(f1, n1))),
+        ChainMap(cx, reduced, (_support(g0, r0), _support(g1, r1))),
+        (_support(h0, r1), Gf2Matrix.zeros(0, r1)),
+        _zero_homotopy(cx),
+    )
+    if not equiv.verify():
+        raise RuntimeError("reduction equivalence failed verification")
+    return reduced, equiv
 
 
-# -- bundle weight reduction -----------------------------------------------------
-
-
-def _star_zero_gauge(
-    cur: Bundle, base: ChainComplex, step: _RewriteStep
+def _anchor_turns(
+    layout: _ReducedLayout, twist_of: dict[tuple[int, int], int]
 ) -> tuple[list[int], list[int]]:
-    """Fiber rotations clearing every twist at the rewrite site.
-
-    For a combine the site spans the stars of the two merging bits; for
-    a collapse, the stars of the two merging checks. The site is a tree
-    (the merging cells share only the removed middle cell), so rotations
-    zeroing it always exist; a shared outer cell would make the site
-    cyclic and is reported as a construction bug.
-    """
-    mf = cur.m_fiber
-    d1 = base.boundary(1)
-    tw = cur.twist_of
-    rho_v = [0] * cur.n_vars
-    rho_c = [0] * cur.n_checks
-
-    def t(b: int, a: int) -> int:
-        return tw.get((b, a), 0)
-
-    if step.kind == "combine":
-        v = step.site
-        e1, e2 = step.merged
-        for a in d1.col_support(e1):
-            rho_c[a] = -t(e1, a) % mf
-        rho_v[e2] = (t(e2, v) + rho_c[v]) % mf
-        first = set(d1.col_support(e1))
-        for a in d1.col_support(e2):
-            if a in first:
-                if (t(e2, a) + rho_c[a] - rho_v[e2]) % mf:
-                    raise RuntimeError(
-                        "merging bits share a check beyond the rewrite site"
-                    )
-            else:
-                rho_c[a] = (rho_v[e2] - t(e2, a)) % mf
-    else:
-        e = step.site
-        v1, v2 = step.merged
-        for y in d1.row_support(v1):
-            rho_v[y] = t(y, v1) % mf
-        rho_c[v2] = (rho_v[e] - t(e, v2)) % mf
-        first = set(d1.row_support(v1))
-        for y in d1.row_support(v2):
-            if y in first:
-                if (t(y, v2) + rho_c[v2] - rho_v[y]) % mf:
-                    raise RuntimeError(
-                        "merging checks share a bit beyond the rewrite site"
-                    )
-            else:
-                rho_v[y] = (t(y, v2) + rho_c[v2]) % mf
-    return rho_v, rho_c
-
-
-def _apply_gauge(
-    cur: Bundle, rho_v: list[int], rho_c: list[int]
-) -> tuple[Bundle, HomotopyEquivalence]:
-    """Gauge change as an exact equivalence (permutation both ways)."""
-    gauged, (u0, u1, u2) = gauge_transform(cur, rho_v, rho_c)
-    equiv = HomotopyEquivalence(
-        ChainMap(cur.complex, gauged.complex, (u0, u1, u2)),
-        ChainMap(
-            gauged.complex,
-            cur.complex,
-            (u0.transpose(), u1.transpose(), u2.transpose()),
-        ),
-        _zero_homotopy(cur.complex),
-        _zero_homotopy(gauged.complex),
-    )
-    if not equiv.verify():
-        raise RuntimeError("gauge change is not a chain isomorphism")
-    return gauged, equiv
-
-
-def _kron_id(mat: Gf2Matrix, mf: int) -> Gf2Matrix:
-    """mat acting blockwise on cells carrying a fiber coordinate."""
-    cols: list[list[int]] = []
-    for j in range(mat.n_cols):
-        sup = mat.col_support(j)
-        for i in range(mf):
-            cols.append([r * mf + i for r in sup])
-    return Gf2Matrix.from_col_support(cols, mat.n_rows * mf)
-
-
-def _lift_triple(
-    f0: Gf2Matrix, f1: Gf2Matrix, mf: int
-) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
-    """Lift base maps (f0 on checks, f1 on bits) to the three bundle degrees."""
-    n1t, n0t = f1.n_rows, f0.n_rows
-    cols: list[list[int]] = []
-    for b in range(f1.n_cols):
-        sup = f1.col_support(b)
-        for u in range(mf):
-            cols.append([r * mf + u for r in sup])
-    off = n1t * mf
-    for a in range(f0.n_cols):
-        sup = f0.col_support(a)
-        for i in range(mf):
-            cols.append([off + r * mf + i for r in sup])
-    lifted1 = Gf2Matrix.from_col_support(cols, (n1t + n0t) * mf)
-    return (_kron_id(f0, mf), lifted1, _kron_id(f1, mf))
-
-
-def _lift_homotopy(
-    h0: Gf2Matrix, n_vars: int, n_checks: int, mf: int
-) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]:
-    """Lift a base homotopy: c(a,u) -> h(h0 a, u) and v(a,i) -> q(h0 a, i)."""
-    cols0: list[list[int]] = []
-    for a in range(n_checks):
-        sup = h0.col_support(a)
-        for u in range(mf):
-            cols0.append([r * mf + u for r in sup])
-    lifted0 = Gf2Matrix.from_col_support(cols0, (n_vars + n_checks) * mf)
-    cols1: list[list[int]] = [[] for _ in range(n_vars * mf)]
-    for a in range(n_checks):
-        sup = h0.col_support(a)
-        for i in range(mf):
-            cols1.append([r * mf + i for r in sup])
-    lifted1 = Gf2Matrix.from_col_support(cols1, n_vars * mf)
-    return (lifted0, lifted1, Gf2Matrix.zeros(0, n_vars * mf))
-
-
-def _lift_rewrite(
-    cur: Bundle, step: _RewriteStep
-) -> tuple[Bundle, HomotopyEquivalence]:
-    """Apply one base rewrite fiberwise to a bundle with a cleared site."""
-    cls_eq = step.equivalence
-    source_base = cls_eq.f.source
-    target_base = cls_eq.f.target
-    mf = cur.m_fiber
-
-    if step.kind == "combine":
-        removed_bit, removed_check = step.merged[1], step.site
-        cleared_bits = set(step.merged)
-        cleared_checks: set[int] = set()
-    else:
-        removed_bit, removed_check = step.site, step.merged[1]
-        cleared_bits = set()
-        cleared_checks = set(step.merged)
-    for (b, a), t in cur.twist_of.items():
-        if t % mf and (b in cleared_bits or a in cleared_checks):
-            raise RuntimeError("gauge failed to clear the rewrite site")
-
-    bit_pos = {}
-    for b in range(source_base.dims[1]):
-        if b != removed_bit:
-            bit_pos[b] = len(bit_pos)
-    check_pos = {}
-    for a in range(source_base.dims[0]):
-        if a != removed_check:
-            check_pos[a] = len(check_pos)
-    new_twists = {}
-    for (b, a), t in cur.twist_of.items():
-        if t % mf == 0:
+    """Anchor turn of each original bit and check (see weight_reduce_bundle)."""
+    bit_checks, check_bits = layout.bit_checks, layout.check_bits
+    turn_bit: list[int | None] = [None] * len(bit_checks)
+    turn_check: list[int | None] = [None] * len(check_bits)
+    for root in range(len(bit_checks)):
+        if turn_bit[root] is not None:
             continue
-        new_twists[(bit_pos[b], check_pos[a])] = t
-
-    nxt = build_bundle(PlainBase.from_complex(target_base), mf, new_twists)
-    nxt = Bundle(
-        base_code=nxt.base_code,
-        m_fiber=mf,
-        twists=nxt.twists,
-        complex=nxt.complex,
-        ell=cur.ell
-        if cur.ell is not None and all(t % cur.ell == 0 for t in new_twists.values())
-        else None,
-    )
-
-    equiv = HomotopyEquivalence(
-        ChainMap(
-            cur.complex,
-            nxt.complex,
-            _lift_triple(cls_eq.f.maps[0], cls_eq.f.maps[1], mf),
-        ),
-        ChainMap(
-            nxt.complex,
-            cur.complex,
-            _lift_triple(cls_eq.g.maps[0], cls_eq.g.maps[1], mf),
-        ),
-        _lift_homotopy(
-            cls_eq.h_source[0], source_base.dims[1], source_base.dims[0], mf
-        ),
-        _zero_homotopy(nxt.complex),
-    )
-    if not equiv.verify():
-        raise RuntimeError("lifted rewrite failed homotopy verification")
-    return nxt, equiv
-
-
-def _alignment_gauge(cur: Bundle, target: Bundle) -> tuple[list[int], list[int]]:
-    """Rotations turning cur's twists into target's, solved over the
-    Tanner graph; inconsistency around a cycle is a construction bug."""
-    mf = cur.m_fiber
-    if (cur.n_vars, cur.n_checks) != (target.n_vars, target.n_checks):
-        raise RuntimeError("aligned bundles must share the base")
-
-    def delta(b: int, a: int) -> int:
-        return (target.twist_of.get((b, a), 0) - cur.twist_of.get((b, a), 0)) % mf
-
-    rho_v: list[int | None] = [None] * cur.n_vars
-    rho_c: list[int | None] = [None] * cur.n_checks
-    var_checks = cur.var_checks
-    check_vars = cur.base_code.adjacency
-    for root in range(cur.n_vars):
-        if rho_v[root] is not None:
-            continue
-        rho_v[root] = 0
-        queue = [("v", root)]
+        turn = 0
+        if len(bit_checks[root]) == 1:
+            c = bit_checks[root][0]
+            if len(check_bits[c]) >= 2:
+                turn = twist_of.get((root, c), 0)
+        turn_bit[root] = turn
+        queue = [root]
         while queue:
-            kind, x = queue.pop()
-            if kind == "v":
-                for a in var_checks[x]:
-                    want = (rho_v[x] + delta(x, a)) % mf
-                    if rho_c[a] is None:
-                        rho_c[a] = want
-                        queue.append(("c", a))
-                    elif rho_c[a] != want:
-                        raise RuntimeError(
-                            "twists disagree around a base cycle; no gauge aligns them"
-                        )
-            else:
-                for b in check_vars[x]:
-                    want = (rho_c[x] - delta(b, x)) % mf
-                    if rho_v[b] is None:
-                        rho_v[b] = want
-                        queue.append(("v", b))
-                    elif rho_v[b] != want:
-                        raise RuntimeError(
-                            "twists disagree around a base cycle; no gauge aligns them"
-                        )
-    return [r or 0 for r in rho_v], [r or 0 for r in rho_c]
+            for c in bit_checks[queue.pop()]:
+                if turn_check[c] is None:
+                    turn_check[c] = turn
+                    for b in check_bits[c]:
+                        if turn_bit[b] is None:
+                            turn_bit[b] = turn
+                            queue.append(b)
+    return turn_bit, turn_check
+
+
+def _lift(
+    blocks: list[tuple[list[list[tuple[int, int]]], int]], n_rows: int, mf: int
+) -> Gf2Matrix:
+    """A map over fiber cells from blocks of base columns.
+
+    Each block holds columns of (row, shift) entries and a row offset;
+    entry x -> (y, s) becomes (x, u) -> (offset + y, u + s) for every
+    fiber position u. Blocks stack their columns in order.
+    """
+    cols = []
+    for block, offset in blocks:
+        for col in block:
+            for u in range(mf):
+                cols.append([(offset + y) * mf + (u + s) % mf for y, s in col])
+    return Gf2Matrix.from_col_support(cols, n_rows * mf)
 
 
 def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
     """Bundle over the degree-reduced base, with a verified equivalence.
 
     The reduced base carries each original twist on the edge between the
-    matching bit and check copies and zero twists elsewhere. Each base
-    rewrite is lifted fiberwise after a gauge change clearing the twists
-    at its site; a final gauge change aligns the rebuilt twists with the
-    original bundle, which must be reproduced exactly.
+    matching bit and check copies and zero twists elsewhere. The
+    equivalence is the classical closed form (_closed_form) lifted
+    fiberwise in one pass: a base entry x -> y maps fiber position u to
+    u + t(b, c) when it runs from bit b's frame into check c's frame,
+    and to u otherwise. Checks and vertical cells follow f0, g0 and h0;
+    horizontal and degree-2 cells follow f1 and g1.
+
+    Anchor rule. Rotating every fiber over one connected component of
+    the base is an automorphism of the original bundle, so the
+    equivalence is fixed only up to such turns. The one returned turns
+    each component by an amount read off its lowest-index bit, root:
+    t(root, c) when root has degree 1 and its check c has at least two
+    bits, else 0. f adds the turn on original-side targets and g
+    subtracts it on original-side sources. This reproduces the step-by-step rewrite
+    construction (tests/reduction_reference.py) matrix for matrix, so
+    saved equivalences and reported Lipschitz constants stay the same.
     """
-    base_cx = bundle.base_complex
-    layout, steps, _ = _reduction_pipeline(base_cx)
+    layout = _reduced_layout(bundle.base_complex)
     mf = bundle.m_fiber
+    twist_of = bundle.twist_of
 
     reduced_twists = {}
-    for (b, a), t in bundle.twist_of.items():
+    for (b, a), t in twist_of.items():
         if t % mf:
             reduced_twists[
                 (layout.bit_index[(b, a)], layout.check_index[(a, b)])
             ] = t % mf
     built = build_bundle(PlainBase.from_complex(layout.complex), mf, reduced_twists)
-    reduced_bundle = Bundle(
+    reduced = Bundle(
         base_code=built.base_code,
         m_fiber=mf,
         twists=built.twists,
@@ -786,28 +626,53 @@ def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
         ell=bundle.ell,
     )
 
-    cur = reduced_bundle
-    equiv = identity_equivalence(reduced_bundle.complex)
-    for step in steps:
-        rho_v, rho_c = _star_zero_gauge(cur, step.equivalence.f.source, step)
-        if any(rho_v) or any(rho_c):
-            cur, gauge_eq = _apply_gauge(cur, rho_v, rho_c)
-            equiv = equiv.compose(gauge_eq)
-        cur, lift_eq = _lift_rewrite(cur, step)
-        equiv = equiv.compose(lift_eq)
+    turn_bit, turn_check = _anchor_turns(layout, twist_of)
+    no_turn = [0] * max(layout.complex.dims)  # reduced dims bound every index
 
-    rho_v, rho_c = _alignment_gauge(cur, bundle)
-    if any(rho_v) or any(rho_c):
-        cur, gauge_eq = _apply_gauge(cur, rho_v, rho_c)
-        equiv = equiv.compose(gauge_eq)
-    if cur.complex != bundle.complex:
-        raise RuntimeError(
-            "bundle weight reduction failed to rebuild the original complex"
-        )
-    equiv = _rebind(equiv, reduced_bundle.complex, bundle.complex)
+    def shifted(cols: list[_Column], row_turn=no_turn, col_turn=no_turn):
+        return [
+            [
+                (y, (twist_of.get(e, 0) if e else 0) + row_turn[y] - col_turn[x])
+                for y, e in col
+            ]
+            for x, col in enumerate(cols)
+        ]
+
+    f0, f1, g0, g1, h0 = _closed_form(layout)
+    f0, f1 = shifted(f0, row_turn=turn_check), shifted(f1, row_turn=turn_bit)
+    g0, g1 = shifted(g0, col_turn=turn_check), shifted(g1, col_turn=turn_bit)
+    h0 = shifted(h0)
+    n0, n1 = bundle.n_checks, bundle.n_vars
+    r0, r1 = layout.complex.dims
+    equiv = HomotopyEquivalence(
+        ChainMap(
+            reduced.complex,
+            bundle.complex,
+            (
+                _lift([(f0, 0)], n0, mf),
+                _lift([(f1, 0), (f0, n1)], n1 + n0, mf),
+                _lift([(f1, 0)], n1, mf),
+            ),
+        ),
+        ChainMap(
+            bundle.complex,
+            reduced.complex,
+            (
+                _lift([(g0, 0)], r0, mf),
+                _lift([(g1, 0), (g0, r1)], r1 + r0, mf),
+                _lift([(g1, 0)], r1, mf),
+            ),
+        ),
+        (
+            _lift([(h0, 0)], r1 + r0, mf),
+            _lift([([[]] * r1, 0), (h0, 0)], r1, mf),
+            Gf2Matrix.zeros(0, r1 * mf),
+        ),
+        _zero_homotopy(bundle.complex),
+    )
     if not equiv.verify():
-        raise RuntimeError("composed bundle equivalence failed verification")
-    return reduced_bundle, equiv
+        raise RuntimeError("bundle reduction equivalence failed verification")
+    return reduced, equiv
 
 
 # -- serialization ---------------------------------------------------------------
@@ -844,18 +709,46 @@ def save_equivalence(equiv: HomotopyEquivalence, directory: str | Path) -> Path:
 
 
 def load_equivalence(directory: str | Path) -> HomotopyEquivalence:
-    """Read back a saved equivalence and verify it before returning."""
+    """Read back a saved equivalence and verify it before returning.
+
+    A malformed manifest (not an object, dims that are not lists of
+    cell counts, a missing files table or tag, a file name that is not
+    a plain name inside the directory) or a failed verification raises
+    ValueError.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    files = manifest["files"]
+    if not isinstance(manifest, dict):
+        raise ValueError("equivalence manifest must be a JSON object")
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise ValueError("equivalence manifest has no files table")
+
+    def dims(key: str) -> list[int]:
+        value = manifest.get(key)
+        if (
+            not isinstance(value, list)
+            or not value
+            or any(type(d) is not int or d < 0 for d in value)
+        ):
+            raise ValueError(f"manifest {key} must be a list of cell counts")
+        return value
 
     def grab(tag: str) -> tuple[Gf2Matrix, ...]:
-        return tuple(
-            from_alist((directory / name).read_text()) for name in files[tag]
-        )
+        names = files.get(tag)
+        if not isinstance(names, list):
+            raise ValueError(f"manifest lists no {tag} files")
+        for name in names:
+            if (
+                not isinstance(name, str)
+                or Path(name).name != name
+                or name in ("", "..")
+            ):
+                raise ValueError(f"manifest file {name!r} is not a plain name")
+        return tuple(from_alist((directory / name).read_text()) for name in names)
 
-    source = ChainComplex(manifest["source_dims"], grab("source_boundary"))
-    target = ChainComplex(manifest["target_dims"], grab("target_boundary"))
+    source = ChainComplex(dims("source_dims"), grab("source_boundary"))
+    target = ChainComplex(dims("target_dims"), grab("target_boundary"))
     equiv = HomotopyEquivalence(
         ChainMap(source, target, grab("f")),
         ChainMap(target, source, grab("g")),

@@ -495,6 +495,22 @@ class TestCmdVerify:
         report = read_report(out, "report_verify.json")
         assert report["all_passed"] is False
 
+    def test_malformed_equivalence_manifest_fails(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json", preset="toric", out_dir=str(out)
+        )
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        (out / "equivalence_classical").mkdir()
+        (out / "equivalence_classical" / "manifest.json").write_text(
+            json.dumps({"source_dims": [2, 1], "target_dims": [2, 1]}),
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg), "verify"]) == EXIT_HARD
+        assert "FAIL  saved equivalence classical verifies" in (
+            capsys.readouterr().out
+        )
+
 
 class TestMain:
     def test_unknown_command_exits_via_argparse(self):

@@ -39,7 +39,6 @@ from fibercode.gf2 import BitChain, Gf2Matrix
 from fibercode.homotopy import (
     ChainMap,
     HomotopyEquivalence,
-    identity_equivalence,
     reverse_equivalence,
     weight_reduce_classical,
 )
@@ -433,7 +432,7 @@ class TestDecodeZ:
 
 class TestDecodeViaHomotopy:
     def test_identity_transport_matches_inner_cohomology(self, toy):
-        equiv = identity_equivalence(toy.complex)
+        equiv = HomotopyEquivalence.identity(toy.complex)
         truth = BitChain.from_support(40, [toy.v_cell(1, 2)])
         s = syndrome_x(toy, truth)
         via = decode_via_homotopy(
@@ -450,7 +449,7 @@ class TestDecodeViaHomotopy:
         assert via.notes["inner_success"] == "syndrome-matched-only"
 
     def test_identity_transport_matches_inner_homology(self, toy):
-        equiv = identity_equivalence(toy.complex)
+        equiv = HomotopyEquivalence.identity(toy.complex)
         truth = BitChain.from_support(40, [toy.h_cell(2, 4)])
         s = syndrome_z(toy, truth)
         via = decode_via_homotopy(
@@ -462,7 +461,7 @@ class TestDecodeViaHomotopy:
 
     def test_exact_inner_recovers_circle_errors(self):
         cx = cycle_base(5).as_complex()
-        equiv = identity_equivalence(cx)
+        equiv = HomotopyEquivalence.identity(cx)
         d1 = cx.boundary(1)
         for i in range(5):
             truth = BitChain.from_support(5, [i])
@@ -495,7 +494,7 @@ class TestDecodeViaHomotopy:
 
     def test_rejects_unverified_equivalence(self):
         cx = cycle_base(5).as_complex()
-        good = identity_equivalence(cx)
+        good = HomotopyEquivalence.identity(cx)
         zero = ChainMap(
             cx, cx, tuple(Gf2Matrix.zeros(d, d) for d in cx.dims)
         )
@@ -509,7 +508,7 @@ class TestDecodeViaHomotopy:
             )
 
     def test_failed_inner_propagates(self, toy):
-        equiv = identity_equivalence(toy.complex)
+        equiv = HomotopyEquivalence.identity(toy.complex)
 
         def inner(pushed):
             return DecodeResult(
@@ -526,7 +525,7 @@ class TestDecodeViaHomotopy:
         assert res.notes["inner_steps"] == 7
 
     def test_degree_and_length_validation(self, toy):
-        equiv = identity_equivalence(toy.complex)
+        equiv = HomotopyEquivalence.identity(toy.complex)
         inner = lambda s: DecodeResult(  # noqa: E731 - never reached
             BitChain(0, 0), DecodeSuccess.MATCHED, 0
         )

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,16 +14,14 @@ from fibercode.homotopy import (
     HomotopyEquivalence,
     collapse_cell,
     combine_cells,
-    compose_equivalences,
-    identity_equivalence,
-    lipschitz,
     load_equivalence,
     save_equivalence,
     transpose_equivalence,
-    verify_homotopy,
     weight_reduce_bundle,
     weight_reduce_classical,
 )
+
+import reduction_reference
 
 
 def _path_complex(edges: int) -> ChainComplex:
@@ -58,7 +57,6 @@ class TestChainMap:
         cx = _path_complex(3)
         one = ChainMap.identity(cx)
         assert one.lipschitz() == (1, 1)
-        assert lipschitz(one) == (1, 1)
         assert one.transpose_lipschitz() == (1, 1)
 
     def test_rejects_non_chain_map(self):
@@ -99,8 +97,8 @@ class TestChainMap:
 class TestEquivalenceVerification:
     def test_identity_equivalence_verifies(self):
         cx = _path_complex(4)
-        equiv = identity_equivalence(cx)
-        assert verify_homotopy(equiv)
+        equiv = HomotopyEquivalence.identity(cx)
+        assert equiv.verify()
         report = equiv.lipschitz_report()
         assert report["f"] == (1, 1)
         assert report["g_transpose"] == (1, 1)
@@ -229,7 +227,7 @@ class TestComposeAndTranspose:
         cx = _path_complex(3)
         mid, eq1 = combine_cells(cx, 1)
         end, eq2 = collapse_cell(mid, 1)
-        total = compose_equivalences(eq1, eq2)
+        total = eq1.compose(eq2)
         assert total.verify()
         assert total.f.source is cx and total.f.target is end
         assert end.betti(0) == cx.betti(0) == 1
@@ -241,7 +239,7 @@ class TestComposeAndTranspose:
         cx = _path_complex(3)
         _, eq1 = combine_cells(cx, 1)
         with pytest.raises(ValueError, match="endpoints"):
-            compose_equivalences(eq1, eq1)
+            eq1.compose(eq1)
 
     def test_transpose_swaps_roles_and_verifies(self):
         cx = _path_complex(2)
@@ -461,3 +459,133 @@ class TestSerialization:
         target.write_text(to_alist(zero))
         with pytest.raises(ValueError):
             load_equivalence(tmp_path / "eq")
+
+    @pytest.mark.parametrize(
+        "case", ["list", "no_files", "no_tag", "scalar_dims", "escaping_name"]
+    )
+    def test_malformed_manifest_raises_value_error(self, tmp_path, case):
+        cx = _path_complex(2)
+        _, equiv = combine_cells(cx, 1)
+        directory = tmp_path / "run" / "eq"
+        path = save_equivalence(equiv, directory)
+        manifest = json.loads(path.read_text())
+        if case == "list":
+            manifest = [manifest]
+        elif case == "no_files":
+            del manifest["files"]
+        elif case == "no_tag":
+            del manifest["files"]["h_target"]
+        elif case == "scalar_dims":
+            manifest["source_dims"] = 5
+        else:
+            # A valid matrix outside the directory must still be refused.
+            (tmp_path / "f0.alist").write_text((directory / "f0.alist").read_text())
+            manifest["files"]["f"][0] = "../../f0.alist"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError):
+            load_equivalence(directory)
+
+
+def _assert_same_equivalence(got, want):
+    assert got.f.source == want.f.source
+    assert got.f.target == want.f.target
+    assert got.f.maps == want.f.maps
+    assert got.g.maps == want.g.maps
+    assert got.h_source == want.h_source
+    assert got.h_target == want.h_target
+
+
+@st.composite
+def _small_bases(draw) -> ChainComplex:
+    """Tanner graphs with up to 5 checks; checks left uncovered get a
+    degree-1 bit of their own, so isolated edges, degree-1 bits and
+    several components all occur."""
+    m = draw(st.integers(1, 5))
+    cols = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cols = [sorted(col) for col in cols]
+    covered = {c for col in cols for c in col}
+    cols += [[c] for c in range(m) if c not in covered]
+    return ChainComplex((m, len(cols)), (Gf2Matrix.from_col_support(cols, m),))
+
+
+@st.composite
+def _small_bundles(draw):
+    base = PlainBase.from_complex(draw(_small_bases()))
+    mf = draw(st.integers(1, 9))
+    edges = [(b, a) for a, row in enumerate(base.adjacency) for b in row]
+    twists = draw(
+        st.lists(st.integers(0, mf - 1), min_size=len(edges), max_size=len(edges))
+    )
+    return build_bundle(base, mf, dict(zip(edges, twists)))
+
+
+def _base(m: int, cols: list[list[int]]) -> PlainBase:
+    return PlainBase.from_complex(
+        ChainComplex((m, len(cols)), (Gf2Matrix.from_col_support(cols, m),))
+    )
+
+
+class TestClosedFormMatchesReference:
+    """The closed-form reduction equals the composite of verified
+    elementary rewrites in tests/reduction_reference.py, matrix for
+    matrix."""
+
+    def _check_bundle(self, bundle):
+        reduced, equiv = weight_reduce_bundle(bundle)
+        want_reduced, want = reduction_reference.weight_reduce_bundle(bundle)
+        assert reduced == want_reduced
+        _assert_same_equivalence(equiv, want)
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [
+            build_bundle(cycle_base(4), 5, {(0, 0): 1, (2, 1): 3}),
+            # isolated edge
+            build_bundle(_base(1, [[0]]), 3, {(0, 0): 2}),
+            # two components, each rooted at a degree-1 bit whose check
+            # has two bits: both anchor turns are nonzero
+            build_bundle(
+                _base(3, [[0], [0, 1], [1], [2], [2]]),
+                4,
+                {(0, 0): 3, (1, 0): 1, (1, 1): 2, (2, 1): 1, (3, 2): 1},
+            ),
+            build_bundle(cycle_base(3), 5),  # zero twists
+            build_bundle(cycle_base(3), 1),  # one-cell fiber
+        ],
+        ids=["toy", "isolated-edge", "anchored-components", "untwisted", "mf1"],
+    )
+    def test_named_bundles(self, bundle):
+        self._check_bundle(bundle)
+
+    @given(_small_bundles())
+    @settings(max_examples=40, deadline=None)
+    def test_random_bundles(self, bundle):
+        self._check_bundle(bundle)
+
+    @given(_small_bases())
+    @settings(max_examples=40, deadline=None)
+    def test_random_classical(self, cx):
+        reduced, equiv = weight_reduce_classical(cx)
+        want_reduced, want = reduction_reference.weight_reduce_classical(cx)
+        assert reduced == want_reduced
+        _assert_same_equivalence(equiv, want)
+
+    def test_each_reduction_verifies_once(self, monkeypatch):
+        calls = []
+        verify = HomotopyEquivalence.verify
+
+        def counting(equiv):
+            calls.append(equiv)
+            return verify(equiv)
+
+        monkeypatch.setattr(HomotopyEquivalence, "verify", counting)
+        weight_reduce_classical(cycle_base(4))
+        assert len(calls) == 1
+        weight_reduce_bundle(build_bundle(cycle_base(4), 3, {(1, 1): 2}))
+        assert len(calls) == 2
