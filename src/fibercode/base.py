@@ -162,6 +162,8 @@ class PartitionedBaseCode:
             merged = tuple(sorted(self.heads[a] + self.tails[a]))
             if merged != self.adjacency[a]:
                 raise ValueError(f"check {a}: heads+tails is not the neighborhood")
+            if merged and (merged[0] < 0 or merged[-1] >= self.n):
+                raise ValueError(f"check {a}: variable index outside 0..n-1")
 
     @property
     def m(self) -> int:
@@ -438,6 +440,8 @@ def parse_base_sidecar(
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _SIDECAR_HEADER:
         raise ValueError("not a fibercode base sidecar")
+    if len(lines) < 2:
+        raise ValueError("sidecar has no metadata line")
     meta = lines[1].split()
     if meta[0::2] != ["n", "m", "delta", "k_types", "seed"]:
         raise ValueError("bad sidecar metadata line")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from fibercode.gf2 import BitChain, Gf2Matrix, from_alist, to_alist
 
@@ -109,7 +109,7 @@ class ChainComplex:
         return self.boundary(j + 1).transpose().mul_chain(z).is_zero()
 
     def is_coboundary(self, j: int, z: BitChain) -> bool:
-        return self.boundary(j).transpose().solve(z) is not None
+        return self.boundary(j).row_space_contains(z)
 
     def is_nontrivial_cocycle(self, j: int, z: BitChain) -> bool:
         return (
@@ -121,11 +121,11 @@ class ChainComplex:
     def homology_basis(self, j: int) -> list[BitChain]:
         """Cycles independent modulo boundaries, deterministically chosen."""
         cycles = self.boundary(j).kernel_basis()
-        return _independent_mod(cycles, self.boundary(j + 1).transpose().rows, self.dims[j])
+        return _new_classes(cycles, self.boundary(j + 1).transpose())
 
     def cohomology_basis(self, j: int) -> list[BitChain]:
         cocycles = self.boundary(j + 1).transpose().kernel_basis()
-        return _independent_mod(cocycles, self.boundary(j).rows, self.dims[j])
+        return _new_classes(cocycles, self.boundary(j))
 
     def label(self, j: int, i: int) -> str:
         if self.labels is None:
@@ -144,39 +144,15 @@ class ChainComplex:
         return f"ChainComplex(dims={self.dims})"
 
 
-def _independent_mod(
-    candidates: list[BitChain], span_rows: Iterable[int], length: int
-) -> list[BitChain]:
-    """Subset of candidates independent modulo the span of the given rows.
-
-    Maintains an eliminator keyed by leading bit position; the reduction
-    order is fixed, so the selection is deterministic.
+def _new_classes(candidates: list[BitChain], span: Gf2Matrix) -> list[BitChain]:
+    """Candidates independent modulo span's rows and earlier candidates:
+    the pivot columns of [span | candidates] with the span block already
+    eliminated, since reduce_mod_rows is linear with kernel the row space.
     """
-    eliminators: dict[int, int] = {}
-
-    def reduce(bits: int) -> int:
-        while bits:
-            lead = bits.bit_length() - 1
-            row = eliminators.get(lead)
-            if row is None:
-                return bits
-            bits ^= row
-        return 0
-
-    def insert(bits: int) -> bool:
-        bits = reduce(bits)
-        if bits == 0:
-            return False
-        eliminators[bits.bit_length() - 1] = bits
-        return True
-
-    for row in span_rows:
-        insert(row)
-    picked = []
-    for cand in candidates:
-        if insert(cand.bits):
-            picked.append(cand)
-    return picked
+    reduced = Gf2Matrix(
+        [span.reduce_mod_rows(c).bits for c in candidates], span.n_cols
+    ).transpose()
+    return [candidates[k] for k in reduced.pivot_columns()]
 
 
 def transpose_complex(cx: ChainComplex) -> ChainComplex:
@@ -276,19 +252,17 @@ def coset_min_weight_exact(
         )
     if mode == "homology":
         closer = cx.boundary(j)
-        trivializer = cx.boundary(j + 1)
-        b = cx.betti(j)
+        is_trivial = cx.is_boundary
     elif mode == "cohomology":
         closer = cx.boundary(j + 1).transpose()
-        trivializer = cx.boundary(j).transpose()
-        b = cx.betti(j)  # field coefficients: cohomology rank equals homology rank
+        is_trivial = cx.is_coboundary
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    b = cx.betti(j)  # field coefficients: cohomology rank equals homology rank
     if b == 0:
         return None
     top = n if max_weight is None else min(max_weight, n)
     syndromes = [closer.mul_bits(1 << i) for i in range(n)]
-    image_rows = _row_space_eliminators(trivializer.transpose().rows)
     for w in range(1, top + 1):
         for combo in itertools.combinations(range(n), w):
             acc = 0
@@ -296,37 +270,11 @@ def coset_min_weight_exact(
                 acc ^= syndromes[i]
             if acc:
                 continue
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            if not _in_row_space(image_rows, bits):
+            if not is_trivial(j, BitChain.from_support(n, combo)):
                 return w
     raise RuntimeError(
         f"no nontrivial chain of weight <= {top} found although betti = {b}"
     )
-
-
-def _row_space_eliminators(rows: Iterable[int]) -> dict[int, int]:
-    eliminators: dict[int, int] = {}
-    for bits in rows:
-        while bits:
-            lead = bits.bit_length() - 1
-            row = eliminators.get(lead)
-            if row is None:
-                eliminators[lead] = bits
-                break
-            bits ^= row
-    return eliminators
-
-
-def _in_row_space(eliminators: dict[int, int], bits: int) -> bool:
-    while bits:
-        lead = bits.bit_length() - 1
-        row = eliminators.get(lead)
-        if row is None:
-            return False
-        bits ^= row
-    return True
 
 
 # -- serialization -----------------------------------------------------------
@@ -352,18 +300,20 @@ def parse_complex(text: str) -> ChainComplex:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _COMPLEX_HEADER:
         raise ValueError("not a fibercode complex file")
-    if not lines[1].startswith("degrees "):
+    head = lines[1].split() if len(lines) > 1 else []
+    if len(head) != 2 or head[0] != "degrees":
         raise ValueError("missing degrees line")
-    k = int(lines[1].split()[1])
-    if not lines[2].startswith("dims "):
+    k = int(head[1])
+    head = lines[2].split() if len(lines) > 2 else []
+    if not head or head[0] != "dims":
         raise ValueError("missing dims line")
-    dims = tuple(int(t) for t in lines[2].split()[1:])
-    if len(dims) != k + 1:
+    dims = tuple(int(t) for t in head[1:])
+    if len(dims) != k + 1 or any(d < 0 for d in dims):
         raise ValueError("dims line disagrees with degrees")
     boundaries = []
     pos = 3
     for j in range(1, k + 1):
-        if lines[pos].strip() != f"boundary {j}":
+        if pos == len(lines) or lines[pos].strip() != f"boundary {j}":
             raise ValueError(f"expected boundary {j} at line {pos + 1}")
         pos += 1
         block = []
@@ -374,6 +324,8 @@ def parse_complex(text: str) -> ChainComplex:
             pos += 1
         mat = from_alist("\n".join(block))
         boundaries.append(mat)
+    if [ln.strip() for ln in lines[pos:] if ln.strip()] != ["end"]:
+        raise ValueError(f"expected a final end line at line {pos + 1}")
     cx = ChainComplex(dims, boundaries)
     cx.validate()
     return cx

@@ -431,9 +431,9 @@ def decode_x(
     cx = bundle.complex
     if syndrome.length != cx.dims[2]:
         raise ValueError("syndrome length differs from the 2-cell count")
-    d2t = cx.boundary(2).transpose()
-    if d2t.solve(syndrome) is None:
+    if not cx.is_coboundary(2, syndrome):
         raise ValueError("syndrome is not the coboundary of any qubit chain")
+    d2t = cx.boundary(2).transpose()
     mf = bundle.m_fiber
     full = (1 << mf) - 1
     n_vars = bundle.n_vars
@@ -663,9 +663,9 @@ def decode_z(
     cx = bundle.complex
     if syndrome.length != cx.dims[0]:
         raise ValueError("syndrome length differs from the 0-cell count")
-    d1 = cx.boundary(1)
-    if d1.solve(syndrome) is None:
+    if not cx.is_boundary(0, syndrome):
         raise ValueError("syndrome is not the boundary of any qubit chain")
+    d1 = cx.boundary(1)
     if r_max is None:
         if bundle.ell is None:
             raise ValueError(

@@ -1,9 +1,14 @@
 """GF(2) linear algebra on bit-packed integers.
 
 Matrices store one Python int per row, bit j of row i being entry (i, j).
-Everything is immutable after construction, so matrices and chains can be
-shared freely between threads. Elimination is deterministic: pivots are
-chosen scanning columns left to right and taking the first available row.
+Rows never change after construction. Each matrix caches its transpose
+and one elimination record, the RREF of [M | I], so it is eliminated at
+most once however many rank, solve, kernel or membership queries it
+answers. Matrices and chains can be shared freely between threads, such
+as the CLI's ``--threads`` workers: a cache depends on the rows alone,
+so two threads racing to fill it store equal values and either may win.
+Elimination is deterministic: pivots are chosen scanning columns left to
+right and taking the first available row.
 """
 
 from __future__ import annotations
@@ -108,9 +113,16 @@ class BitChain:
 
 
 class Gf2Matrix:
-    """Immutable GF(2) matrix with bit-packed rows."""
+    """Immutable GF(2) matrix with bit-packed rows.
 
-    __slots__ = ("n_rows", "n_cols", "rows", "_rank")
+    Two caches, filled on first use and never part of the value (equality
+    and hashing read the shape and rows only): the transpose, and the
+    elimination record that every rank, solve, kernel, row-space and
+    pivot query reads. A racing fill from two threads stores an equal
+    value, so shared matrices need no lock.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "rows", "_transpose", "_elimination")
 
     def __init__(self, rows: Sequence[int], n_cols: int):
         mask = (1 << n_cols) - 1
@@ -120,7 +132,8 @@ class Gf2Matrix:
         object.__setattr__(self, "n_rows", len(rows))
         object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "_rank", None)
+        object.__setattr__(self, "_transpose", None)
+        object.__setattr__(self, "_elimination", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Gf2Matrix is immutable")
@@ -220,14 +233,19 @@ class Gf2Matrix:
     # -- algebra ---------------------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
-        cols = [0] * self.n_cols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return Gf2Matrix(cols, self.n_rows)
+        t = self._transpose
+        if t is None:
+            cols = [0] * self.n_cols
+            for i, r in enumerate(self.rows):
+                bit = 1 << i
+                while r:
+                    low = r & -r
+                    cols[low.bit_length() - 1] |= bit
+                    r ^= low
+            # No back-link t -> self: the cycle would outlive refcounting.
+            t = Gf2Matrix(cols, self.n_rows)
+            object.__setattr__(self, "_transpose", t)
+        return t
 
     def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.shape != other.shape:
@@ -267,42 +285,51 @@ class Gf2Matrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _rref(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Reduced row echelon form.
+    def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """The cached RREF of [M | I]: (pivot column -> reduced row, in
+        row order; transform), computed on first use.
 
-        Returns (rows, pivots) where pivots is a list of (row, col) pairs
-        in increasing column order. Deterministic: the pivot for a column
-        is the first remaining row with a 1 there.
+        Reduced row r is the sum of the original rows in transform[r];
+        the rows after the pivot rows are zero, so their transforms span
+        the left null space. The identity columns never hold a pivot, so
+        they record the row operations without steering them.
         """
-        rows = list(self.rows)
-        pivots: list[tuple[int, int]] = []
-        pivot_row = 0
-        n_rows = self.n_rows
-        for col in range(self.n_cols):
-            mask = 1 << col
-            src = -1
-            for r in range(pivot_row, n_rows):
-                if rows[r] & mask:
-                    src = r
-                    break
+        if self._elimination is not None:
+            return self._elimination
+        n_cols, n_rows = self.n_cols, self.n_rows
+        rows = [r | (1 << (n_cols + i)) for i, r in enumerate(self.rows)]
+        # Row operations never fill a column that no row touches, so only
+        # the occupied columns are visited, lowest first.
+        occupied = 0
+        for r in self.rows:
+            occupied |= r
+        pivots: list[int] = []
+        while occupied and len(pivots) < n_rows:
+            mask = occupied & -occupied
+            occupied ^= mask
+            top = len(pivots)
+            src = next((r for r in range(top, n_rows) if rows[r] & mask), -1)
             if src < 0:
                 continue
-            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-            piv = rows[pivot_row]
-            for r in range(n_rows):
-                if r != pivot_row and rows[r] & mask:
-                    rows[r] ^= piv
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-            if pivot_row == n_rows:
-                break
-        return rows, pivots
+            piv = rows[src]
+            rows[src] = rows[top]
+            rows = [r ^ piv if r & mask else r for r in rows]
+            rows[top] = piv
+            pivots.append(mask.bit_length() - 1)
+        low = (1 << n_cols) - 1
+        record = (
+            {c: r & low for c, r in zip(pivots, rows)},
+            tuple(r >> n_cols for r in rows),
+        )
+        object.__setattr__(self, "_elimination", record)
+        return record
 
     def rank(self) -> int:
-        if self._rank is None:
-            _, pivots = self._rref()
-            object.__setattr__(self, "_rank", len(pivots))
-        return self._rank
+        return len(self._eliminate()[0])
+
+    def pivot_columns(self) -> tuple[int, ...]:
+        """Columns that are not combinations of the columns before them."""
+        return tuple(self._eliminate()[0])
 
     def solve(self, b: BitChain) -> BitChain | None:
         """One solution of M x = b with free variables set to zero.
@@ -311,43 +338,50 @@ class Gf2Matrix:
         """
         if b.length != self.n_rows:
             raise ValueError("rhs length mismatch")
-        # Augment with b as an extra column and reduce.
-        aug_col = 1 << self.n_cols
-        rows = [
-            r | (aug_col if (b.bits >> i) & 1 else 0)
-            for i, r in enumerate(self.rows)
-        ]
-        aug = Gf2Matrix(rows, self.n_cols + 1)
-        red, pivots = aug._rref()
+        reduced, transform = self._eliminate()
+        bits = b.bits
+        # The transformed rhs must vanish on the zero rows of the RREF.
+        for t in transform[len(reduced):]:
+            if (t & bits).bit_count() & 1:
+                return None
         x = 0
-        for r, c in pivots:
-            if c == self.n_cols:
-                return None  # pivot in the augmented column: inconsistent
-            if red[r] & aug_col:
+        for c, t in zip(reduced, transform):
+            if (t & bits).bit_count() & 1:
                 x |= 1 << c
         return BitChain(self.n_cols, x)
 
     def kernel_basis(self) -> list[BitChain]:
         """Basis of the right null space, one vector per free column."""
-        red, pivots = self._rref()
-        pivot_cols = {c: r for r, c in pivots}
-        basis = []
-        for f in range(self.n_cols):
-            if f in pivot_cols:
-                continue
-            v = 1 << f
-            fmask = 1 << f
-            for c, r in pivot_cols.items():
-                if red[r] & fmask:
-                    v |= 1 << c
-            basis.append(BitChain(self.n_cols, v))
-        return basis
+        n, reduced = self.n_cols, self._eliminate()[0]
+        # Free column f pairs with every pivot whose reduced row has bit f.
+        vecs = [1 << f for f in range(n)]
+        for c, r in reduced.items():
+            bit = 1 << c
+            rest = r ^ bit
+            while rest:
+                low = rest & -rest
+                vecs[low.bit_length() - 1] |= bit
+                rest ^= low
+        return [BitChain(n, v) for f, v in enumerate(vecs) if f not in reduced]
+
+    def reduce_mod_rows(self, c: BitChain) -> BitChain:
+        """c minus the reduced rows at its pivot bits: linear in c, and
+        zero exactly when c lies in the row space."""
+        if c.length != self.n_cols:
+            raise ValueError("length mismatch")
+        reduced = self._eliminate()[0]
+        bits = rest = c.bits
+        # A pivot column is set in its own reduced row only, so clearing
+        # the pivot bits of c one by one never sets another.
+        while rest:
+            low = rest & -rest
+            bits ^= reduced.get(low.bit_length() - 1, 0)
+            rest ^= low
+        return BitChain(self.n_cols, bits)
 
     def row_space_contains(self, c: BitChain) -> bool:
         """Whether c is a GF(2) combination of the rows."""
-        if c.length != self.n_cols:
-            raise ValueError("length mismatch")
-        return self.transpose().solve(c) is not None
+        return self.reduce_mod_rows(c).is_zero()
 
 
 # -- alist serialization --------------------------------------------------

@@ -284,6 +284,6 @@ def parse_twist_graph(text: str) -> TwistGraph:
     shifts = tuple(int(t) for t in tokens[2 : 2 + k])
     graph = TwistGraph(ell=ell, shifts=shifts)
     recorded = float(tokens[-1])
-    if abs(recorded - graph.kappa()) > 1e-9:
+    if not math.isfinite(recorded) or abs(recorded - graph.kappa()) > 1e-9:
         raise ValueError("recorded kappa disagrees with the shifts")
     return graph

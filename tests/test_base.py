@@ -179,6 +179,22 @@ def test_sidecar_rejects_mixed_twist_lines():
         parse_base_sidecar("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("keep", [0, 1, 2])
+def test_sidecar_rejects_truncation(keep):
+    code, _ = gen_base(16, 6, 4, seed=5)
+    lines = export_base_sidecar(code).splitlines(keepends=True)
+    with pytest.raises(ValueError):
+        parse_base_sidecar("".join(lines[:keep]))
+
+
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_sidecar_rejects_variable_out_of_range(index):
+    text = f"fibercode-base v1\nn 2 m 1 delta 2 k_types 1 seed 0\n0; 0 ; {index}\n"
+    with pytest.raises(ValueError):
+        parse_base_sidecar(text)
+    parse_base_sidecar(text.replace(f"; {index}", "; 1"))
+
+
 def test_heads_tails_validation():
     with pytest.raises(ValueError):
         PartitionedBaseCode(

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from fibercode.cli import build_instance, load_config
 
 from fibercode.complexes import (
     ChainComplex,
@@ -15,6 +19,8 @@ from fibercode.complexes import (
 )
 from fibercode.gf2 import BitChain, Gf2Matrix
 
+import elimination_reference
+
 
 def _triangle_disk() -> ChainComplex:
     """Three vertices, three edges, one face glued along all edges."""
@@ -24,10 +30,10 @@ def _triangle_disk() -> ChainComplex:
 
 
 @st.composite
-def random_two_complexes(draw):
+def random_two_complexes(draw, min_cells=1):
     """A valid 2-complex: columns of del_2 are random cycles of del_1."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 7))
+    m = draw(st.integers(min_cells, 5))
+    n = draw(st.integers(min_cells, 7))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
     d1 = Gf2Matrix(rows, n)
     kernel = d1.kernel_basis()
@@ -181,3 +187,112 @@ def test_default_labels():
     d1 = Gf2Matrix.zeros(1, 1)
     cx = ChainComplex((1, 1), (d1,))
     assert cx.label(0, 0) == "0:0"
+
+
+# -- membership tests and bases against the per-query reference -------------
+
+
+@pytest.fixture(scope="module")
+def desk_complex(tmp_path_factory):
+    """The bundle complex of the CLI's desk preset."""
+    cfg = tmp_path_factory.mktemp("desk") / "config.json"
+    cfg.write_text('{"preset": "desk"}')
+    return build_instance(load_config(str(cfg))).bundle.complex
+
+
+def _fresh(cx: ChainComplex) -> ChainComplex:
+    """An equal complex whose matrices have empty caches."""
+    return ChainComplex(cx.dims, [Gf2Matrix(m.rows, m.n_cols) for m in cx.boundaries])
+
+
+def _assert_bases_match_reference(cx: ChainComplex) -> None:
+    for j in range(cx.top_degree + 1):
+        want = elimination_reference.homology_basis(cx, j)
+        assert cx.homology_basis(j) == want
+        assert cx.homology_basis(j) == want  # second call reads the caches
+        want = elimination_reference.cohomology_basis(cx, j)
+        assert cx.cohomology_basis(j) == want
+        assert cx.cohomology_basis(j) == want
+
+
+@given(random_two_complexes(min_cells=0))
+@settings(max_examples=150, deadline=None)
+def test_bases_match_reference(cx):
+    _assert_bases_match_reference(_fresh(cx))
+
+
+def test_bases_match_reference_on_fixed_complexes(desk_complex):
+    empty = ChainComplex((0, 0, 0), (Gf2Matrix.zeros(0, 0), Gf2Matrix.zeros(0, 0)))
+    for cx in (_triangle_disk(), cycle_complex(5), empty, desk_complex):
+        _assert_bases_match_reference(_fresh(cx))
+        _assert_bases_match_reference(transpose_complex(_fresh(cx)))
+
+
+@given(random_two_complexes(min_cells=0), st.data())
+@settings(max_examples=150, deadline=None)
+def test_boundary_tests_match_reference(cx, data):
+    cx = _fresh(cx)
+    for j in range(cx.top_degree + 1):
+        z = BitChain(cx.dims[j], data.draw(st.integers(0, (1 << cx.dims[j]) - 1)))
+        image = cx.boundary(j + 1)
+        assert cx.is_boundary(j, z) == elimination_reference.in_row_space(
+            image.transpose(), z
+        )
+        assert cx.is_boundary(j, z) == (
+            elimination_reference.solve(image, z) is not None
+        )
+        assert cx.is_coboundary(j, z) == elimination_reference.in_row_space(
+            cx.boundary(j), z
+        )
+
+
+@given(random_two_complexes())
+@settings(max_examples=60, deadline=None)
+def test_coset_min_weight_matches_enumeration(cx):
+    n = cx.dims[1]
+    for mode, closer, span in (
+        ("homology", cx.boundary(1), cx.boundary(2).transpose()),
+        ("cohomology", cx.boundary(2).transpose(), cx.boundary(1)),
+    ):
+        weights = [
+            w
+            for w in range(1, n + 1)
+            for combo in itertools.combinations(range(n), w)
+            if closer.mul_chain(z := BitChain.from_support(n, combo)).is_zero()
+            and not elimination_reference.in_row_space(span, z)
+        ]
+        want = min(weights) if weights else None
+        assert coset_min_weight_exact(_fresh(cx), 1, mode) == want
+
+
+# -- truncated complex files -------------------------------------------------
+
+
+def _assert_prefixes_rejected(text: str) -> None:
+    lines = text.splitlines(keepends=True)
+    for k in range(len(lines)):
+        with pytest.raises(ValueError):
+            parse_complex("".join(lines[:k]))
+
+
+def test_parse_complex_rejects_every_line_prefix(desk_complex):
+    for cx in (cycle_complex(3), desk_complex):
+        text = serialize_complex(cx)
+        assert parse_complex(text) == cx
+        _assert_prefixes_rejected(text)
+
+
+def test_parse_complex_rejects_every_character_prefix():
+    text = serialize_complex(cycle_complex(3))
+    for k in range(len(text) - 1):
+        with pytest.raises(ValueError):
+            parse_complex(text[:k])
+
+
+def test_parse_complex_requires_end_line():
+    text = serialize_complex(_triangle_disk())
+    assert parse_complex(text + "\n") == _triangle_disk()
+    with pytest.raises(ValueError):
+        parse_complex(text.replace("end\n", ""))
+    with pytest.raises(ValueError):
+        parse_complex(text + "boundary 3\n")

@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,8 @@ from fibercode.gf2 import (
     parity,
     to_alist,
 )
+
+import elimination_reference
 
 
 def _cycle_boundary(n: int) -> Gf2Matrix:
@@ -172,3 +178,169 @@ def test_alist_rejects_corrupt_row_lists():
 
 def test_bits_from_support():
     assert bits_from_support([0, 2]) == 0b101
+
+
+# -- the cached elimination against the per-query reference ----------------
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Rows drawn as sums of a few generator rows, so rank stays small."""
+    gens = draw(matrices(max_rows=3, max_cols=10))
+    m = draw(st.integers(0, 10))
+    masks = draw(
+        st.lists(st.integers(0, (1 << gens.n_rows) - 1), min_size=m, max_size=m)
+    )
+    rows = []
+    for mask in masks:
+        row = 0
+        for i, g in enumerate(gens.rows):
+            if (mask >> i) & 1:
+                row ^= g
+        rows.append(row)
+    return Gf2Matrix(rows, gens.n_cols)
+
+
+any_matrices = st.one_of(
+    matrices(), matrices(max_rows=14, max_cols=14), low_rank_matrices()
+)
+
+
+def _fresh(mat: Gf2Matrix) -> Gf2Matrix:
+    """An equal matrix with empty caches."""
+    return Gf2Matrix(mat.rows, mat.n_cols)
+
+
+def _bits(data, length: int) -> int:
+    return data.draw(st.integers(0, (1 << length) - 1))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        Gf2Matrix.zeros(0, 0),
+        Gf2Matrix.zeros(0, 4),
+        Gf2Matrix.zeros(3, 0),
+        Gf2Matrix.zeros(3, 4),
+        Gf2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+    ],
+    ids=["0x0", "0x4", "3x0", "zero-3x4", "rank-deficient"],
+)
+def test_degenerate_shapes_match_reference(mat):
+    assert mat.rank() == elimination_reference.rank(mat)
+    assert mat.kernel_basis() == elimination_reference.kernel_basis(mat)
+    for raw in range(1 << mat.n_rows):
+        b = BitChain(mat.n_rows, raw)
+        assert mat.solve(b) == elimination_reference.solve(mat, b)
+    for raw in range(1 << mat.n_cols):
+        c = BitChain(mat.n_cols, raw)
+        assert mat.row_space_contains(c) == elimination_reference.row_space_contains(mat, c)
+
+
+@given(any_matrices)
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_reference(mat):
+    mat = _fresh(mat)
+    _, ref_pivots = elimination_reference.rref(mat)
+    assert mat.rank() == elimination_reference.rank(mat)
+    assert mat.pivot_columns() == tuple(c for _, c in ref_pivots)
+    assert mat.kernel_basis() == elimination_reference.kernel_basis(mat)
+    t = mat.transpose()
+    assert t.rank() == elimination_reference.rank(t)
+    assert t.kernel_basis() == elimination_reference.kernel_basis(t)
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_reference(mat, data):
+    mat = _fresh(mat)
+    x = BitChain(mat.n_cols, _bits(data, mat.n_cols))
+    consistent = mat.mul_chain(x)
+    assert mat.solve(consistent) is not None
+    assert mat.solve(consistent) == elimination_reference.solve(mat, consistent)
+    b = BitChain(mat.n_rows, _bits(data, mat.n_rows))
+    assert mat.solve(b) == elimination_reference.solve(mat, b)
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_space_contains_matches_reference(mat, data):
+    mat = _fresh(mat)
+    combo = mat.transpose().mul_bits(_bits(data, mat.n_rows))
+    member = BitChain(mat.n_cols, combo)
+    assert mat.row_space_contains(member)
+    assert elimination_reference.row_space_contains(mat, member)
+    c = BitChain(mat.n_cols, _bits(data, mat.n_cols))
+    want = elimination_reference.row_space_contains(mat, c)
+    assert want == elimination_reference.in_row_space(mat, c)
+    assert mat.row_space_contains(c) == want
+    assert mat.reduce_mod_rows(c).is_zero() == want
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_caches_stay_out_of_the_value(mat, data):
+    cold = _fresh(mat)
+    warm = _fresh(mat)
+    b = BitChain(mat.n_rows, _bits(data, mat.n_rows))
+    first = (warm.rank(), warm.solve(b), warm.kernel_basis(), warm.transpose())
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {warm, cold} == {cold}
+    assert warm.transpose() is first[3]
+    assert (warm.rank(), warm.solve(b), warm.kernel_basis(), warm.transpose()) == first
+    assert first == (cold.rank(), cold.solve(b), cold.kernel_basis(), cold.transpose())
+
+
+def test_dropped_matrices_leave_no_cycles():
+    # Matrices are freed by reference counting alone: neither the cached
+    # transpose nor the elimination record may point back at its owner.
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(300):
+            n = 1 + seed % 9
+            rows = [((seed * 2654435761 + 97 * i) >> 3) % (1 << n) for i in range(n + 2)]
+            mat = Gf2Matrix(rows, n)
+            mat.transpose().rank()
+            mat.solve(BitChain(mat.n_rows, seed % (1 << mat.n_rows)))
+            mat.kernel_basis()
+            mat.row_space_contains(BitChain(n, seed % (1 << n)))
+            del mat
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_racing_threads_fill_equal_caches():
+    # Threads sharing one matrix may race to fill its caches; every racer
+    # must read the same answers as the per-query reference.
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            n = 24
+            rows = [((seed + 3) * 2654435761 * (i + 1)) % (1 << n) for i in range(30)]
+            b = BitChain(len(rows), (seed * 40503) % (1 << len(rows)))
+            mat = Gf2Matrix(rows, n)
+            want = (
+                elimination_reference.rank(mat),
+                elimination_reference.kernel_basis(mat),
+                elimination_reference.solve(mat, b),
+                elimination_reference.rank(mat.transpose()),
+            )
+            got = []
+
+            def work():
+                got.append(
+                    (mat.rank(), mat.kernel_basis(), mat.solve(b), mat.transpose().rank())
+                )
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert got == [want] * len(threads)
+    finally:
+        sys.setswitchinterval(switch)

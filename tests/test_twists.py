@@ -227,6 +227,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_twist_graph(" ".join(line))
 
+    @pytest.mark.parametrize("kappa", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_kappa_rejected(self, kappa):
+        graph = TwistGraph(ell=7, shifts=(2, 3))
+        line = serialize_twist_graph(graph).split()
+        line[-1] = kappa
+        with pytest.raises(ValueError):
+            parse_twist_graph(" ".join(line))
+
     def test_field_count_checked(self):
         with pytest.raises(ValueError):
             parse_twist_graph("7 3 2 3 0.5\n")
