@@ -259,7 +259,18 @@ class ExperimentConfig:
         return out
 
 
-_TUPLE_KEYS = {"x_weights", "z_weights", "erasure_sizes"}
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON values each ExperimentConfig field annotation accepts.
+_ACCEPTS: dict[str, Callable[[Any], bool]] = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "int | None": lambda v: v is None or _is_int(v),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
 
 
 def load_config(
@@ -276,10 +287,16 @@ def load_config(
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+    annotations = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(data) - set(annotations)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        expected = annotations[key]
+        if not _ACCEPTS[expected](value):
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
+        if isinstance(value, list):
+            data[key] = tuple(value)
     preset = data.get("preset", "paper")
     if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
@@ -292,9 +309,6 @@ def load_config(
         merged["out_dir"] = out
     if threads is not None:
         merged["threads"] = threads
-    for key in _TUPLE_KEYS:
-        if key in merged:
-            merged[key] = tuple(merged[key])
     config = ExperimentConfig(**merged)
     config.validate()
     return config
@@ -414,21 +428,6 @@ def _expander_report(
     }
 
 
-def _h1_report(bundle: Bundle) -> dict[str, Any]:
-    report = verify_h1_iso(bundle)
-    return {
-        "base_is_graph": report.base_is_graph,
-        "fiber_boundaries_even": report.fiber_boundaries_even,
-        "fiber_even_chains_bound": report.fiber_even_chains_bound,
-        "base_zeroth_homology_trivial": report.base_zeroth_homology_trivial,
-        "twists_fix_fiber_cycles": report.twists_fix_fiber_cycles,
-        "b1_base": report.b1_base,
-        "b1_bundle": report.b1_bundle,
-        "projection_rank": report.projection_rank,
-        "isomorphism_holds": report.isomorphism_holds,
-    }
-
-
 def _code_report(built: BuiltInstance) -> dict[str, Any]:
     css = built.css
     return {
@@ -514,7 +513,7 @@ def cmd_build(config: ExperimentConfig) -> int:
             "expander": _expander_report(built.graph, config.kappa_target),
         },
         "code": _code_report(built),
-        "h1_isomorphism": _h1_report(built.bundle),
+        "h1_isomorphism": verify_h1_iso(built.bundle).as_dict(),
         "relaxed_constants": _relaxed_constants(config),
         "artifacts": sorted(artifacts),
     }
@@ -667,27 +666,25 @@ _TRIAL_COLUMNS = (
 )
 
 
+# (error model, seed tag, config field holding its points), in job order.
+_BENCH_MODELS = (
+    ("x-bitflip", "x", "x_weights"),
+    ("z-bitflip", "z", "z_weights"),
+    ("erasure", "erasure", "erasure_sizes"),
+)
+
+
 def _bench_jobs(
     built: BuiltInstance,
 ) -> list[tuple[str, int, int, int]]:
     config = built.config
-    jobs = []
-    for w in config.x_weights:
-        for trial in range(config.trials_per_point):
-            jobs.append(("x-bitflip", w, trial, derive_seed(
-                config.master_seed, "bench", "x", w, trial
-            )))
-    for w in config.z_weights:
-        for trial in range(config.trials_per_point):
-            jobs.append(("z-bitflip", w, trial, derive_seed(
-                config.master_seed, "bench", "z", w, trial
-            )))
-    for size in config.erasure_sizes:
-        for trial in range(config.trials_per_point):
-            jobs.append(("erasure", size, trial, derive_seed(
-                config.master_seed, "bench", "erasure", size, trial
-            )))
-    return jobs
+    seed = config.master_seed
+    return [
+        (model, point, trial, derive_seed(seed, "bench", tag, point, trial))
+        for model, tag, points in _BENCH_MODELS
+        for point in getattr(config, points)
+        for trial in range(config.trials_per_point)
+    ]
 
 
 def _run_bench_trial(

@@ -30,7 +30,7 @@ __all__ = [
 class ChainComplex:
     """Finite chain complex over GF(2), immutable after construction."""
 
-    __slots__ = ("dims", "boundaries", "labels")
+    __slots__ = ("dims", "boundaries", "labels", "_maps")
 
     def __init__(
         self,
@@ -59,6 +59,14 @@ class ChainComplex:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "labels", labels)
+        # The zero maps at both ends are built once, so the elimination
+        # and transpose they cache persist across calls.
+        maps = (
+            Gf2Matrix.zeros(0, dims[0]),
+            *boundaries,
+            Gf2Matrix.zeros(dims[-1], 0),
+        )
+        object.__setattr__(self, "_maps", maps)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ChainComplex is immutable")
@@ -71,11 +79,7 @@ class ChainComplex:
         """del_j for 1 <= j <= k; zero-shaped maps at the two ends."""
         if j < 0 or j > self.top_degree + 1:
             raise ValueError(f"degree {j} out of range")
-        if j == 0:
-            return Gf2Matrix.zeros(0, self.dims[0])
-        if j == self.top_degree + 1:
-            return Gf2Matrix.zeros(self.dims[self.top_degree], 0)
-        return self.boundaries[j - 1]
+        return self._maps[j]
 
     def validate(self) -> None:
         """Check del_j del_(j+1) = 0 at every degree; raise otherwise."""

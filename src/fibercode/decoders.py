@@ -30,11 +30,14 @@ the true error and checks the residual against the (co)boundary matrix.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from fibercode.bundle import Bundle, fiber_integration_maps, projection_maps
 from fibercode.complexes import ChainComplex
@@ -205,47 +208,36 @@ def _occupancy_rows(bundle: Bundle, e_bits: int, a: int) -> list[int]:
     return rows
 
 
-def _column_satisfaction(counts: Iterable[int], deg: int) -> int:
-    return sum(max(c, deg - c) for c in counts)
+@functools.cache
+def _gray_masks(deg: int) -> np.ndarray:
+    """Row k holds the bits of k ^ (k >> 1); read-only, one per degree.
+
+    float32 sends the product in :func:`_exact_optimum` through BLAS;
+    every value in it is a small integer, so the arithmetic is exact.
+    """
+    gray = np.arange(1 << deg)
+    gray ^= gray >> 1
+    table = ((gray[:, None] >> np.arange(deg)) & 1).astype(np.float32)
+    table.flags.writeable = False
+    return table
 
 
-def _exact_optimum(
-    rows: Sequence[int], deg: int, mf: int
-) -> tuple[int, int, int]:
+def _exact_optimum(occupancy: np.ndarray) -> tuple[int, int, int]:
     """Best satisfaction over all row flips, columns by majority.
 
-    Enumerates the 2^deg row-flip masks in reflected-Gray order so each
-    step updates one row; the first mask attaining the maximum is kept.
-    Returns (row mask, column mask, satisfaction).
+    Flipping row i of the deg x m_F 0/1 occupancy R turns its column
+    contributions into 1 - R_i, so the column counts of all 2^deg
+    row-flip masks, in reflected-Gray order, are one product; the first
+    mask attaining the maximum is kept.  Returns (row mask, column mask,
+    satisfaction).
     """
-    cur = list(rows)
-    counts = [0] * mf
-    for r in cur:
-        for j in range(mf):
-            counts[j] += (r >> j) & 1
-    full = (1 << mf) - 1
-    best_sat = _column_satisfaction(counts, deg)
-    best_mask = 0
-    best_counts = list(counts)
-    mask = 0
-    for k in range(1, 1 << deg):
-        t = (k & -k).bit_length() - 1
-        old = cur[t]
-        new = old ^ full
-        for j in range(mf):
-            counts[j] += ((new >> j) & 1) - ((old >> j) & 1)
-        cur[t] = new
-        mask ^= 1 << t
-        sat = _column_satisfaction(counts, deg)
-        if sat > best_sat:
-            best_sat = sat
-            best_mask = mask
-            best_counts = list(counts)
-    y_bits = 0
-    for j in range(mf):
-        if 2 * best_counts[j] > deg:
-            y_bits |= 1 << j
-    return best_mask, y_bits, best_sat
+    deg = occupancy.shape[0]
+    occ = occupancy.astype(np.float32)
+    counts = occ.sum(axis=0) + _gray_masks(deg) @ (1 - 2 * occ)
+    sat = np.maximum(counts, deg - counts).sum(axis=1)
+    k = int(sat.argmax())
+    y_bits = bits_from_support(np.flatnonzero(2 * counts[k] > deg).tolist())
+    return k ^ (k >> 1), y_bits, int(sat[k])
 
 
 def _alternating_optimum(
@@ -334,19 +326,24 @@ def fixable_test(
     if deg == 0:
         return None
     rows = _occupancy_rows(bundle, e.bits, a)
-    counts = [0] * mf
-    for r in rows:
-        for j in range(mf):
-            counts[j] += (r >> j) & 1
-    sat_now = sum(deg - c for c in counts)
-    overfull_row = any(2 * int.bit_count(r) > mf for r in rows)
-    overfull_col = any(2 * c > deg for c in counts)
+    width = (mf + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for r in rows)
+    occupancy = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(deg, width),
+        axis=1,
+        count=mf,
+        bitorder="little",
+    )
+    counts = occupancy.sum(axis=0)
+    sat_now = int((deg - counts).sum())
+    overfull_row = bool((2 * occupancy.sum(axis=1) > mf).any())
+    overfull_col = bool((2 * counts > deg).any())
     if mode == "exact":
         if deg > 16:
             raise ValueError(
                 "exact mode enumerates 2^degree rewrites; use alternating"
             )
-        x_mask, y_bits, sat_best = _exact_optimum(rows, deg, mf)
+        x_mask, y_bits, sat_best = _exact_optimum(occupancy)
     elif mode == "alternating":
         x_mask, y_bits, sat_best = _alternating_optimum(rows, deg, mf)
     else:

@@ -134,6 +134,47 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": "16"},
+            {"x_weights": 5},
+            {"x_weights": ["a"]},
+            {"x_weights": [1.5]},
+            {"fixable_ratio": "0.8"},
+            {"r_max": "1"},
+            {"master_seed": True},
+            {"mc_samples": True},
+            {"preset": ["desk"]},
+            {"out_dir": None},
+        ],
+    )
+    def test_wrongly_typed_values_exit_hard(
+        self, tmp_path, capsys, overrides
+    ):
+        cfg = write_config(
+            tmp_path / "c.json", **{"preset": "desk", **overrides}
+        )
+        assert main(["--config", str(cfg), "build"]) == EXIT_HARD
+        assert capsys.readouterr().out.startswith("bad config: ")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"fixable_ratio": 1},
+            {"kappa_target": 0.25},
+            {"r_max": None},
+            {"r_max": 2},
+            {"x_weights": [2, 3]},
+        ],
+    )
+    def test_well_typed_values_load(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", preset="desk", **overrides)
+        config = load_config(str(cfg))
+        for key, value in overrides.items():
+            expected = tuple(value) if isinstance(value, list) else value
+            assert getattr(config, key) == expected
+
     def test_cycle_family_requires_r_max(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", preset="custom", family="cycle", r_max=None

@@ -66,6 +66,15 @@ def test_shape_mismatch_rejected():
         ChainComplex((2, 3), (Gf2Matrix.zeros(3, 2),))
 
 
+def test_end_boundaries_are_built_once():
+    cx = _triangle_disk()
+    top = cx.top_degree
+    assert cx.boundary(0) is cx.boundary(0)
+    assert cx.boundary(top + 1) is cx.boundary(top + 1)
+    assert cx.boundary(0).shape == (0, 3)
+    assert cx.boundary(top + 1).shape == (1, 0)
+
+
 def test_triangle_betti():
     cx = _triangle_disk()
     assert [cx.betti(j) for j in range(3)] == [1, 0, 0]

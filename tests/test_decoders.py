@@ -8,10 +8,13 @@ the same paths at realistic degrees.
 
 import random
 
+import decoder_reference
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fibercode import decoders
 from fibercode.base import gen_base
 from fibercode.bundle import (
     PlainBase,
@@ -24,6 +27,7 @@ from fibercode.decoders import (
     Amendment,
     DecodeResult,
     DecodeSuccess,
+    _exact_optimum,
     _interval_completion,
     amendment_chain,
     decode_brute_force,
@@ -61,6 +65,13 @@ def toy_plain():
 def desk():
     """Certified medium instance: 16-bit base, nine-cell fiber."""
     code, _ = gen_base(16, 5, 6, seed=0)
+    return build_fiber_bundle_code(code, gen_twist_graph(3, 6, seed=1))
+
+
+@pytest.fixture(scope="module")
+def n24():
+    """Certified 24-bit base over the same twist graph as ``desk``."""
+    code, _ = gen_base(24, 6, 6, seed=0)
     return build_fiber_bundle_code(code, gen_twist_graph(3, 6, seed=1))
 
 
@@ -265,6 +276,69 @@ class TestFixableTest:
         with pytest.raises(ValueError):
             fixable_test(bundle, e, 0, "exact")
         assert fixable_test(bundle, e, 0, "alternating") is None
+
+
+@st.composite
+def occupancy_rows(draw):
+    """Rows of a deg x m_F occupancy, often all-zero or all-one."""
+    deg = draw(st.integers(1, 12))
+    mf = draw(st.integers(1, 30))
+    full = (1 << mf) - 1
+    row = st.one_of(st.sampled_from([0, full]), st.integers(0, full))
+    return draw(st.lists(row, min_size=deg, max_size=deg)), mf
+
+
+@given(occupancy_rows())
+@settings(max_examples=300, deadline=None)
+@example(([0] * 12, 7))
+@example(([127] * 12, 7))
+@example(([0, 127] * 6, 7))
+@example(([0, 127], 7))
+@example(([1], 1))
+def test_exact_optimum_matches_reference(case):
+    """The Gray-table product against the incremental Gray walk.
+
+    Uniform and half-flipped rows make many masks tie, so the first
+    maximum in Gray order must be the one both keep.
+    """
+    rows, mf = case
+    occupancy = np.array(
+        [[(r >> j) & 1 for j in range(mf)] for r in rows], dtype=np.uint8
+    )
+    assert _exact_optimum(occupancy) == decoder_reference._exact_optimum(
+        rows, len(rows), mf
+    )
+
+
+class TestDecodeXMatchesReference:
+    """Whole ``decode_x`` runs with the reference ``fixable_test`` patched in.
+
+    Every weight-1 X error and seeded weight-2 and weight-3 errors, in
+    both modes; each ``DecodeResult`` (correction, success, steps and
+    notes) must be equal.
+    """
+
+    @pytest.mark.parametrize("mode", ["exact", "alternating"])
+    @pytest.mark.parametrize("instance", ["desk", "n24"])
+    def test_results_equal(self, request, monkeypatch, instance, mode):
+        bundle = request.getfixturevalue(instance)
+        n_qubits = bundle.complex.dims[1]
+        rng = random.Random(f"{instance}-{mode}")
+        supports = [[cell] for cell in range(n_qubits)] + [
+            rng.sample(range(n_qubits), weight)
+            for weight in (2, 3)
+            for _ in range(15)
+        ]
+        syndromes = [
+            syndrome_x(bundle, BitChain.from_support(n_qubits, support))
+            for support in supports
+        ]
+        fast = [decode_x(bundle, s, mode=mode) for s in syndromes]
+        assert any(r.notes.get("amendments") for r in fast)
+        monkeypatch.setattr(
+            decoders, "fixable_test", decoder_reference.fixable_test
+        )
+        assert [decode_x(bundle, s, mode=mode) for s in syndromes] == fast
 
 
 class TestDecodeErasureX:
