@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from fibercode.complexes import ChainComplex
-from fibercode.gf2 import BitChain, Gf2Matrix
+from fibercode.gf2 import BitChain, Gf2Matrix, gray_walk
 
 __all__ = [
     "PartitionedBaseCode",
@@ -233,19 +233,10 @@ def min_distance(
         return mat.n_cols + 1, "exact"
     kdim = len(kernel)
     if mat.n_cols <= budget and kdim <= 22:
-        # Gray-code walk over all nonzero kernel combinations.
-        best = min(v.weight() for v in kernel)
-        word = 0
-        gray_prev = 0
-        for t in range(1, 1 << kdim):
-            gray = t ^ (t >> 1)
-            low = gray ^ gray_prev
-            word ^= kernel[low.bit_length() - 1].bits
-            gray_prev = gray
-            w = word.bit_count()
-            if 0 < w < best:
-                best = w
-        return best, "exact"
+        # The basis is independent, so every word after the first is nonzero.
+        words = gray_walk(0, [v.bits for v in kernel])
+        next(words)
+        return min(map(int.bit_count, words)), "exact"
     rng = random.Random(search_seed)
     best = min(v.weight() for v in kernel)
     for a, b in itertools.combinations(range(kdim), 2):

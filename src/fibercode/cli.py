@@ -759,6 +759,11 @@ def cmd_bench_decoders(config: ExperimentConfig) -> int:
     except BuildFailure as exc:
         print(f"bench failed: {exc}")
         return EXIT_HARD
+    n_qubits = built.css.n_qubits
+    for _, _, name in _BENCH_MODELS:
+        if max(getattr(config, name)) > n_qubits:
+            print(f"bad config: {name} exceed the {n_qubits} qubits")
+            return EXIT_HARD
     jobs = _bench_jobs(built)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -31,6 +31,7 @@ the true error and checks the residual against the (co)boundary matrix.
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -39,9 +40,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fibercode.bundle import Bundle, fiber_integration_maps, projection_maps
+from fibercode.bundle import Bundle
 from fibercode.complexes import ChainComplex
-from fibercode.gf2 import BitChain, Gf2Matrix, bits_from_support
+from fibercode.gf2 import BitChain, Gf2Matrix, bits_from_support, gray_walk
 from fibercode.homotopy import HomotopyEquivalence, transpose_equivalence
 
 __all__ = [
@@ -121,6 +122,21 @@ def _rol(value: int, shift: int, width: int) -> int:
 
 def _ror(value: int, shift: int, width: int) -> int:
     return _rol(value, width - (shift % width), width)
+
+
+def _bit_rows(bits: int, n_rows: int, width: int) -> np.ndarray:
+    """The low n_rows * width bits as an n_rows x width 0/1 uint8 array."""
+    count = n_rows * width
+    raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").reshape(
+        n_rows, width
+    )
+
+
+def _fiber_parities(bits: int, n_fibers: int, width: int) -> BitChain:
+    """Parity of each fiber slice: K2 of a 2-chain, P0 of a 0-chain."""
+    odd = _bit_rows(bits, n_fibers, width).sum(axis=1) % 2
+    return BitChain(n_fibers, bits_from_support(np.flatnonzero(odd).tolist()))
 
 
 def _arc_mask(width: int, start: int, count: int) -> int:
@@ -326,13 +342,8 @@ def fixable_test(
     if deg == 0:
         return None
     rows = _occupancy_rows(bundle, e.bits, a)
-    width = (mf + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for r in rows)
-    occupancy = np.unpackbits(
-        np.frombuffer(packed, np.uint8).reshape(deg, width),
-        axis=1,
-        count=mf,
-        bitorder="little",
+    occupancy = _bit_rows(
+        sum(r << (i * mf) for i, r in enumerate(rows)), deg, mf
     )
     counts = occupancy.sum(axis=0)
     sat_now = int((deg - counts).sum())
@@ -436,8 +447,7 @@ def decode_x(
     n_vars = bundle.n_vars
     n_qubits = cx.dims[1]
 
-    _, k2 = fiber_integration_maps(bundle)
-    base_target = k2.mul_chain(syndrome)
+    base_target = _fiber_parities(syndrome.bits, n_vars, mf)
     base_solution, toggles = flip_solve_coboundary(
         bundle.base_code.adjacency, n_vars, base_target
     )
@@ -535,20 +545,12 @@ def decode_erasure_x(
     d2 = cx.boundary(2)
     d1 = cx.boundary(1)
     vertical_start = bundle.n_vars * bundle.m_fiber
-    plaquette: dict[int, tuple[int, ...]] = {}
-
-    def cells_of(q: int) -> tuple[int, ...]:
-        got = plaquette.get(q)
-        if got is None:
-            got = d2.col_support(q)
-            plaquette[q] = got
-        return got
 
     def witness(cell: int, skip: int | None = None) -> int | None:
         for q in d2.row_support(cell):
             if all(
                 c == cell or c == skip or c not in erased_set
-                for c in cells_of(q)
+                for c in d2.col_support(q)
             ):
                 return q
         return None
@@ -650,9 +652,10 @@ def decode_z(
     or a horizontal cell whose boundary points are each either on a
     syndrome point or within r of one along the fiber (nearest point,
     ties upward).  Equal reductions prefer string moves, then the lowest
-    cell index.  Finishing phase: the leftover syndrome is projected to
-    the base, solved by greedy flips, lifted at fiber slot 0, and closed
-    with per-fiber vertical arcs.
+    cell index; every cell is scored at once from the syndrome dilated
+    by r along each fiber.  Finishing phase: the leftover syndrome is
+    projected to the base, solved by greedy flips, lifted at fiber slot
+    0, and closed with per-fiber vertical arcs.
 
     The success value never exceeds ``syndrome-matched-only``; the
     conjectural status is recorded under ``notes["experimental"]``.
@@ -674,15 +677,21 @@ def decode_z(
     n_vars = bundle.n_vars
     n_checks = bundle.n_checks
     n_qubits = cx.dims[1]
+    twist = bundle.twist_of
+    edges = [
+        (b, a) for a, row in enumerate(bundle.base_code.adjacency) for b in row
+    ]
+    var, check = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    shift = np.array([twist.get(e, 0) for e in edges], dtype=np.intp)
+    # legs[e, u]: the 0-cell that h(b, u) meets over a, for edge e = (b, a).
+    legs = bundle.c0_cell(check[:, None], shift[:, None] + np.arange(mf))
+    # Float sums run through BLAS; they are small integers, hence exact.
+    incidence = (np.arange(n_vars)[:, None] == var) * 1.0
 
     s_bits = syndrome.bits
     u_bits = 0
     moves = 0
     r = 0
-
-    def fiber_points(a: int) -> list[int]:
-        slice_ = (s_bits >> (a * mf)) & full
-        return [i for i in range(mf) if (slice_ >> i) & 1]
 
     def nearest_point(a: int, p: int, radius: int) -> int | None:
         if (s_bits >> (a * mf + p)) & 1:
@@ -703,33 +712,28 @@ def decode_z(
         return _arc_mask(mf, q, mf - d_up)
 
     while s_bits:
-        string_move = None
-        for a in range(n_checks):
-            points = fiber_points(a)
-            for ii in range(len(points)):
-                for jj in range(ii + 1, len(points)):
-                    gap = points[jj] - points[ii]
-                    if min(gap, mf - gap) <= r:
-                        string_move = (a, points[ii], points[jj])
-                        break
-                if string_move:
-                    break
-            if string_move:
-                break
-        cell_move = None
-        cell_delta = 0
-        for b in range(n_vars):
-            for upos in range(mf):
-                delta = 0
-                legs = []
-                for a2 in bundle.var_checks[b]:
-                    p = (upos + bundle.twist_of.get((b, a2), 0)) % mf
-                    q = nearest_point(a2, p, r)
-                    delta += -1 if q is not None else 1
-                    legs.append((a2, p, q))
-                if delta < cell_delta:
-                    cell_delta = delta
-                    cell_move = (b, upos, legs)
+        syndrome_rows = _bit_rows(s_bits, n_checks, mf)
+        string_move = next(
+            (
+                (a, p, q)
+                for a in np.flatnonzero(syndrome_rows.sum(1) > 1).tolist()
+                for p, q in itertools.combinations(
+                    np.flatnonzero(syndrome_rows[a]).tolist(), 2
+                )
+                if min(q - p, mf - q + p) <= r
+            ),
+            None,
+        )
+        # Beyond half the fiber every slot is already within reach.
+        near = syndrome_rows.copy()
+        for d in range(1, min(r, mf // 2) + 1):
+            near |= np.roll(syndrome_rows, d, axis=1)
+            near |= np.roll(syndrome_rows, -d, axis=1)
+        # Entry 0 is "no cell move": argmin keeps the first minimum, so
+        # only a strictly negative delta displaces it, in (b, u) order.
+        deltas = np.append(0, incidence @ (1 - 2.0 * near.ravel()[legs]))
+        cell = int(deltas.argmin())
+        cell_delta = int(deltas[cell])
         best_delta = min(-2 if string_move else 0, cell_delta)
         if best_delta >= 0:
             if r >= r_max:
@@ -741,9 +745,11 @@ def decode_z(
             a, p, q = string_move
             u_bits ^= string_mask(p, q) << bundle.v_cell(a, 0)
         else:
-            b, upos, legs = cell_move
+            b, upos = divmod(cell - 1, mf)
             u_bits ^= 1 << bundle.h_cell(b, upos)
-            for a2, p, q in legs:
+            for a2 in bundle.var_checks[b]:
+                p = (upos + twist.get((b, a2), 0)) % mf
+                q = nearest_point(a2, p, r)
                 if q is not None and q != p:
                     u_bits ^= string_mask(p, q) << bundle.v_cell(a2, 0)
         s_bits = syndrome.bits ^ d1.mul_bits(u_bits)
@@ -751,8 +757,7 @@ def decode_z(
             raise RuntimeError("accepted move failed to reduce the syndrome")
         moves += 1
 
-    p0, _ = projection_maps(bundle)
-    base_target = BitChain(n_checks, p0.mul_bits(s_bits))
+    base_target = _fiber_parities(s_bits, n_checks, mf)
     base_solution, toggles = flip_solve_coboundary(
         bundle.var_checks, n_checks, base_target
     )
@@ -896,20 +901,14 @@ def decode_brute_force(
     kernel = matrix.kernel_basis()
     if len(kernel) > budget:
         raise ValueError("kernel dimension exceeds the exhaustive budget")
-    best = particular.bits
-    best_weight = int.bit_count(best)
-    current = particular.bits
-    count = 1 << len(kernel)
-    for k in range(1, count):
-        t = (k & -k).bit_length() - 1
-        current ^= kernel[t].bits
-        w = int.bit_count(current)
-        if w < best_weight:
-            best, best_weight = current, w
+    best = min(
+        gray_walk(particular.bits, [v.bits for v in kernel]),
+        key=int.bit_count,
+    )
     return DecodeResult(
         BitChain(matrix.shape[1], best),
         DecodeSuccess.MATCHED,
-        count,
+        1 << len(kernel),
         {"kernel_dim": len(kernel)},
     )
 

@@ -21,6 +21,7 @@ __all__ = [
     "Gf2Matrix",
     "parity",
     "bits_from_support",
+    "gray_walk",
     "to_alist",
     "from_alist",
 ]
@@ -37,6 +38,19 @@ def bits_from_support(support: Iterable[int]) -> int:
     for i in support:
         bits |= 1 << i
     return bits
+
+
+def gray_walk(start: int, basis: Sequence[int]) -> Iterator[int]:
+    """start plus every combination of basis, in reflected-Gray order.
+
+    Yields 2^len(basis) words, beginning with start itself; step k adds
+    basis[t] for t the number of trailing zeros of k.
+    """
+    word = start
+    yield word
+    for k in range(1, 1 << len(basis)):
+        word ^= basis[(k & -k).bit_length() - 1]
+        yield word
 
 
 @dataclass(frozen=True)
@@ -191,8 +205,7 @@ class Gf2Matrix:
         return tuple(BitChain(self.n_cols, self.rows[i]).iter_support())
 
     def col_support(self, j: int) -> tuple[int, ...]:
-        mask = 1 << j
-        return tuple(i for i, r in enumerate(self.rows) if r & mask)
+        return self.transpose().row_support(j)
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -451,4 +464,6 @@ def from_alist(text: str) -> Gf2Matrix:
         )
         if live != expect:
             raise ValueError(f"row {i} list inconsistent with columns")
+    if pos != len(tokens):
+        raise ValueError("trailing tokens after the alist")
     return Gf2Matrix(rows, n)

@@ -443,6 +443,25 @@ class TestCmdBenchDecoders:
         )
         assert main(["--config", str(cfg), "bench-decoders"]) == EXIT_HARD
 
+    @pytest.mark.parametrize(
+        "name", ["x_weights", "z_weights", "erasure_sizes"]
+    )
+    def test_points_beyond_the_qubit_count_exit_hard(
+        self, toric, tmp_path, capsys, name
+    ):
+        _, out = toric
+        n_qubits = build_instance(load_config(str(toric[0]))).css.n_qubits
+        cfg = write_config(
+            tmp_path / "c.json",
+            preset="toric",
+            out_dir=str(out),
+            **{name: [1, n_qubits + 1]},
+        )
+        assert main(["--config", str(cfg), "bench-decoders"]) == EXIT_HARD
+        assert capsys.readouterr().out == (
+            f"bad config: {name} exceed the {n_qubits} qubits\n"
+        )
+
 
 class TestCmdTwistcodeMc:
     def test_report_structure(self, desk):

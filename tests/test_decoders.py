@@ -22,12 +22,14 @@ from fibercode.bundle import (
     build_fiber_bundle_code,
     cycle_base,
     fiber_integration_maps,
+    projection_maps,
 )
 from fibercode.decoders import (
     Amendment,
     DecodeResult,
     DecodeSuccess,
     _exact_optimum,
+    _fiber_parities,
     _interval_completion,
     amendment_chain,
     decode_brute_force,
@@ -187,6 +189,15 @@ class TestDecodeX:
             )
         horizontal = BitChain.from_support(40, [toy.h_cell(1, 3)])
         assert k2.mul_chain(syndrome_x(toy, horizontal)) == BitChain(4, 0)
+
+    def test_fiber_parities_match_the_maps(self, toy):
+        _, k2 = fiber_integration_maps(toy)
+        p0, _ = projection_maps(toy)
+        rng = random.Random(3)
+        for _ in range(200):
+            bits = rng.getrandbits(20)
+            assert _fiber_parities(bits, 4, 5).bits == k2.mul_bits(bits)
+            assert _fiber_parities(bits, 4, 5).bits == p0.mul_bits(bits)
 
     def test_adjacent_vertical_pair_stalls_base_flip(self, toy):
         truth = BitChain.from_support(
@@ -502,6 +513,84 @@ class TestDecodeZ:
         truth = BitChain.from_support(40, [toy.v_cell(0, 2), toy.h_cell(3, 1)])
         s = syndrome_z(toy, truth)
         assert decode_z(toy, s, r_max=2) == decode_z(toy, s, r_max=2)
+
+
+@st.composite
+def z_decoding_cases(draw):
+    """A small bundle, a Z error on it and a string budget.
+
+    Variables may meet no check (degree 0), twists are often zero, and
+    fibers run from 1 to 9 cells.
+    """
+    m = draw(st.integers(1, 4))
+    cols = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), max_size=3, unique=True),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    adjacency = tuple(
+        tuple(b for b, col in enumerate(cols) if a in col) for a in range(m)
+    )
+    mf = draw(st.integers(1, 9))
+    edges = [(b, a) for a, row in enumerate(adjacency) for b in row]
+    twists = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, mf - 1)),
+            min_size=len(edges),
+            max_size=len(edges),
+        )
+    )
+    bundle = build_bundle(
+        PlainBase(n=len(cols), m=m, adjacency=adjacency),
+        mf,
+        dict(zip(edges, twists)),
+    )
+    n_qubits = bundle.complex.dims[1]
+    support = draw(
+        st.lists(st.integers(0, n_qubits - 1), max_size=8, unique=True)
+    )
+    return bundle, support, draw(st.integers(0, 4))
+
+
+class TestDecodeZMatchesReference:
+    """``decode_z`` against the per-cell scan in tests/decoder_reference.py.
+
+    Each ``DecodeResult`` (correction, success, steps and notes) must be
+    equal, so the moves, tie-breaks and final budget agree too.
+    """
+
+    @pytest.mark.parametrize("instance", ["toy", "desk", "n24"])
+    def test_results_equal(self, request, instance):
+        bundle = request.getfixturevalue(instance)
+        n_qubits = bundle.complex.dims[1]
+        rng = random.Random(f"z-{instance}")
+        supports = [[cell] for cell in range(n_qubits)] + [
+            rng.sample(range(n_qubits), weight)
+            for weight in range(2, 7)
+            for _ in range(8)
+        ]
+        syndromes = [
+            syndrome_z(bundle, BitChain.from_support(n_qubits, support))
+            for support in supports
+        ]
+        for r_max in range(5):
+            fast = [decode_z(bundle, s, r_max) for s in syndromes]
+            assert fast == [
+                decoder_reference.decode_z(bundle, s, r_max) for s in syndromes
+            ]
+        assert any(r.notes["moves"] > 1 for r in fast)
+
+    @given(z_decoding_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_results_equal_on_small_bundles(self, case):
+        bundle, support, r_max = case
+        error = BitChain.from_support(bundle.complex.dims[1], support)
+        s = syndrome_z(bundle, error)
+        assert decode_z(bundle, s, r_max) == decoder_reference.decode_z(
+            bundle, s, r_max
+        )
 
 
 class TestDecodeViaHomotopy:

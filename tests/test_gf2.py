@@ -11,6 +11,7 @@ from fibercode.gf2 import (
     Gf2Matrix,
     bits_from_support,
     from_alist,
+    gray_walk,
     parity,
     to_alist,
 )
@@ -174,6 +175,37 @@ def test_alist_rejects_corrupt_row_lists():
     bad = text.replace("1 2 1", "1 2 2", 1)
     with pytest.raises(ValueError):
         from_alist(bad)
+
+
+@given(matrices(), st.sampled_from([" 7", " 7 7 7", "\n0\n", " x"]))
+@settings(max_examples=50, deadline=None)
+def test_alist_rejects_trailing_tokens(mat, tail):
+    with pytest.raises(ValueError):
+        from_alist(to_alist(mat) + tail)
+
+
+@given(matrices(max_rows=12, max_cols=12))
+@settings(max_examples=100, deadline=None)
+def test_col_support_matches_row_scan(mat):
+    for j in range(mat.n_cols):
+        assert mat.col_support(j) == tuple(
+            i for i, r in enumerate(mat.rows) if (r >> j) & 1
+        )
+
+
+@given(st.integers(0, 255), st.lists(st.integers(0, 255), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_gray_walk_visits_combinations_in_gray_order(start, basis):
+    def combination(mask):
+        word = start
+        for t, v in enumerate(basis):
+            if (mask >> t) & 1:
+                word ^= v
+        return word
+
+    assert list(gray_walk(start, basis)) == [
+        combination(k ^ (k >> 1)) for k in range(1 << len(basis))
+    ]
 
 
 def test_bits_from_support():
