@@ -666,6 +666,7 @@ def decode_z(
     if not cx.is_boundary(0, syndrome):
         raise ValueError("syndrome is not the boundary of any qubit chain")
     d1 = cx.boundary(1)
+    d1_cols = d1.transpose()  # row c is the boundary of cell c
     if r_max is None:
         if bundle.ell is None:
             raise ValueError(
@@ -743,16 +744,18 @@ def decode_z(
         before = int.bit_count(s_bits)
         if string_move and cell_delta >= -2:
             a, p, q = string_move
-            u_bits ^= string_mask(p, q) << bundle.v_cell(a, 0)
+            move = string_mask(p, q) << bundle.v_cell(a, 0)
         else:
             b, upos = divmod(cell - 1, mf)
-            u_bits ^= 1 << bundle.h_cell(b, upos)
+            move = 1 << bundle.h_cell(b, upos)
             for a2 in bundle.var_checks[b]:
                 p = (upos + twist.get((b, a2), 0)) % mf
                 q = nearest_point(a2, p, r)
                 if q is not None and q != p:
-                    u_bits ^= string_mask(p, q) << bundle.v_cell(a2, 0)
-        s_bits = syndrome.bits ^ d1.mul_bits(u_bits)
+                    move ^= string_mask(p, q) << bundle.v_cell(a2, 0)
+        u_bits ^= move
+        for c in BitChain(n_qubits, move).iter_support():
+            s_bits ^= d1_cols.row(c)
         if int.bit_count(s_bits) >= before:
             raise RuntimeError("accepted move failed to reduce the syndrome")
         moves += 1

@@ -537,7 +537,7 @@ def weight_reduce_classical(code) -> tuple[ChainComplex, HomotopyEquivalence]:
         _zero_homotopy(cx),
     )
     if not equiv.verify():
-        raise RuntimeError("reduction equivalence failed verification")
+        raise RuntimeError("classical homotopy equivalence failed verification")
     return reduced, equiv
 
 
@@ -671,7 +671,7 @@ def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
         _zero_homotopy(bundle.complex),
     )
     if not equiv.verify():
-        raise RuntimeError("bundle reduction equivalence failed verification")
+        raise RuntimeError("bundle homotopy equivalence failed verification")
     return reduced, equiv
 
 

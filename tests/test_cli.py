@@ -8,6 +8,7 @@ the way a user would.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,12 @@ from fibercode.cli import (
     load_config,
     main,
 )
-from fibercode.homotopy import load_equivalence
+from fibercode.gf2 import Gf2Matrix, from_alist, to_alist
+from fibercode.homotopy import (
+    HomotopyEquivalence,
+    load_equivalence,
+    weight_reduce_bundle,
+)
 
 
 def write_config(path: Path, **values) -> Path:
@@ -487,6 +493,34 @@ class TestCmdTwistcodeMc:
         cfg, _ = toric
         assert main(["--config", str(cfg), "twistcode-mc"]) == EXIT_HARD
 
+    @pytest.mark.parametrize(
+        "overrides, bits",
+        [
+            ({"mc_word_weight": 49}, 16 * 3),
+            ({"mc_word_weight": 100000}, 16 * 3),
+            ({"ell": 4, "mc_word_weight": 65}, 16 * 4),
+            ({"preset": "paper", "mc_word_weight": 161}, 32 * 5),
+        ],
+    )
+    def test_word_weight_beyond_the_twist_code_exits_hard(
+        self, tmp_path, capsys, overrides, bits
+    ):
+        cfg = write_config(
+            tmp_path / "c.json",
+            **{"preset": "desk", "mc_samples": 10, "mc_pairs": 1, **overrides},
+        )
+        argv = ["--config", str(cfg), "--out", str(tmp_path), "twistcode-mc"]
+        assert main(argv) == EXIT_HARD
+        assert capsys.readouterr().out == (
+            f"bad config: mc_word_weight exceeds the {bits} twist-code bits\n"
+        )
+
+    def test_word_weight_up_to_the_twist_code_loads(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json", preset="desk", mc_word_weight=48
+        )
+        assert load_config(str(cfg)).mc_word_weight == 48
+
 
 class TestCmdWeightReduce:
     def test_reduction_artifacts_and_report(self, desk):
@@ -529,6 +563,54 @@ class TestCmdWeightReduce:
             assert set(lip) == {"f", "g", "f_transpose", "g_transpose"}
             assert all(c >= 1 for c in lip["f"])
 
+    def test_k_after_matches_an_independent_rank(self, desk):
+        # The command reads k after reduction from the verified
+        # equivalence; here the reduced code's ranks recount it.
+        cfg, out = desk
+        assert main(["--config", str(cfg), "weight-reduce"]) == EXIT_OK
+        built = build_instance(load_config(str(cfg)))
+        reduced, _ = weight_reduce_bundle(built.bundle)
+        report = read_report(out, "report_reduction.json")
+        k_after = reduced.css_code().k_logical()
+        assert report["bundle"]["k_logical_after"] == k_after
+        assert report["bundle"]["k_logical_before"] == built.css.k_logical()
+
+    @pytest.mark.parametrize(
+        "failing, top_degree", [("classical", 1), ("bundle", 2)]
+    )
+    def test_failed_verification_exits_hard(
+        self, desk, monkeypatch, capsys, failing, top_degree
+    ):
+        cfg, _ = desk
+        monkeypatch.setattr(
+            HomotopyEquivalence,
+            "verify",
+            lambda self: self.f.source.top_degree != top_degree,
+        )
+        assert main(["--config", str(cfg), "weight-reduce"]) == EXIT_HARD
+        assert capsys.readouterr().out == (
+            f"{failing} homotopy equivalence failed verification\n"
+        )
+
+    def test_each_equivalence_is_verified_once(self, desk, monkeypatch):
+        cfg, _ = desk
+        calls = []
+        verify = HomotopyEquivalence.verify
+
+        def counting(self):
+            calls.append(self)
+            return verify(self)
+
+        monkeypatch.setattr(HomotopyEquivalence, "verify", counting)
+        # The two reductions, plus the reversed classical equivalence
+        # that the transport bench decodes through.
+        assert main(["--config", str(cfg), "weight-reduce"]) == EXIT_OK
+        assert len(calls) == 3
+        calls.clear()
+        # One per saved equivalence, inside load_equivalence.
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        assert len(calls) == 2
+
 
 class TestCmdVerify:
     def test_certified_instance_passes(self, desk):
@@ -570,6 +652,25 @@ class TestCmdVerify:
         assert "FAIL  saved equivalence classical verifies" in (
             capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("name", ["classical", "bundle"])
+    def test_flipped_equivalence_entry_fails(
+        self, desk, tmp_path, capsys, name
+    ):
+        cfg, out = desk
+        assert main(["--config", str(cfg), "weight-reduce"]) == EXIT_OK
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        path = copy / f"equivalence_{name}" / "f1.alist"
+        f1 = from_alist(path.read_text())
+        flipped = Gf2Matrix((f1.row(0) ^ 1,) + f1.rows[1:], f1.n_cols)
+        path.write_text(to_alist(flipped))
+        capsys.readouterr()
+        argv = ["--config", str(cfg), "--out", str(copy), "verify"]
+        assert main(argv) == EXIT_HARD
+        lines = capsys.readouterr().out.splitlines()
+        assert f"FAIL  saved equivalence {name} verifies" in lines
+        assert "10/11 checks passed" in lines[-1]
 
 
 class TestMain:
