@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from fibercode.base import PartitionedBaseCode
 from fibercode.complexes import ChainComplex, CssCode, css_from_complex
 from fibercode.gf2 import BitChain, Gf2Matrix
@@ -163,6 +165,29 @@ class Bundle:
             for b in row:
                 found[b].append(a)
         return tuple(tuple(cs) for cs in found)
+
+    @cached_property
+    def max_star(self) -> int:
+        """The most 1-cells whose boundary meets one 0-cell."""
+        return self.complex.boundary(1).max_row_weight()
+
+    @cached_property
+    def edge_legs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (legs, incidence) over the Tanner edges e = (b, a),
+        in check order: legs[e, u] is the 0-cell that h(b, u) meets over
+        a, and incidence[b, e] is 1.0 when e leaves variable b. Floats
+        send sums over edges through BLAS; they are small integers,
+        hence exact."""
+        edges = [
+            (b, a) for a, row in enumerate(self.base_code.adjacency) for b in row
+        ]
+        var, check = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        shift = np.array([self.twist_of.get(e, 0) for e in edges], dtype=np.intp)
+        legs = self.c0_cell(check[:, None], shift[:, None] + np.arange(self.m_fiber))
+        incidence = (np.arange(self.n_vars)[:, None] == var) * 1.0
+        legs.flags.writeable = False
+        incidence.flags.writeable = False
+        return legs, incidence
 
     # -- cell indexing --------------------------------------------------------
 

@@ -100,7 +100,7 @@ class ChainComplex:
         return self.boundary(j).mul_chain(z).is_zero()
 
     def is_boundary(self, j: int, z: BitChain) -> bool:
-        return self.boundary(j + 1).solve(z) is not None
+        return self.boundary(j + 1).column_space_contains(z)
 
     def is_nontrivial_cycle(self, j: int, z: BitChain) -> bool:
         return (
@@ -266,7 +266,7 @@ def coset_min_weight_exact(
     if b == 0:
         return None
     top = n if max_weight is None else min(max_weight, n)
-    syndromes = [closer.mul_bits(1 << i) for i in range(n)]
+    syndromes = closer.transpose().rows  # row i is the image of cell i
     for w in range(1, top + 1):
         for combo in itertools.combinations(range(n), w):
             acc = 0

@@ -312,6 +312,12 @@ def _canonical_pair(
     return x_mask, y_bits
 
 
+@functools.lru_cache(typed=True)
+def _exact_ratio(ratio: float) -> tuple[int, int]:
+    """The ratio's decimal text as an exact fraction: 0.8 -> (4, 5)."""
+    return Fraction(str(ratio)).as_integer_ratio()
+
+
 def fixable_test(
     bundle: Bundle,
     e: BitChain,
@@ -359,11 +365,11 @@ def fixable_test(
         x_mask, y_bits, sat_best = _alternating_optimum(rows, deg, mf)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    threshold = Fraction(str(ratio))
+    num, den = _exact_ratio(ratio)
     if (
         not overfull_row
         and not overfull_col
-        and Fraction(sat_now) >= threshold * sat_best
+        and sat_now * den >= num * sat_best
     ):
         return None
     gain = sat_best - sat_now
@@ -465,7 +471,8 @@ def decode_x(
     residual = syndrome.bits ^ d2t.mul_bits(e_bits)
     for b in range(n_vars):
         pattern = (residual >> (b * mf)) & full
-        e_bits ^= _interval_completion(mf, pattern) << (b * mf)
+        if pattern:
+            e_bits ^= _interval_completion(mf, pattern) << (b * mf)
     if d2t.mul_bits(e_bits) != syndrome.bits:
         raise RuntimeError("fiber completion failed to reproduce the syndrome")
 
@@ -560,7 +567,7 @@ def decode_erasure_x(
     removals = 0
     pushes = 0
     initial = len(erased_set)
-    ops_cap = 4 * (initial + 4) * (d1.max_row_weight() + 4)
+    ops_cap = 4 * (initial + 4) * (bundle.max_star + 4)
 
     while erased_set:
         if removals + pushes > ops_cap:
@@ -666,7 +673,6 @@ def decode_z(
     if not cx.is_boundary(0, syndrome):
         raise ValueError("syndrome is not the boundary of any qubit chain")
     d1 = cx.boundary(1)
-    d1_cols = d1.transpose()  # row c is the boundary of cell c
     if r_max is None:
         if bundle.ell is None:
             raise ValueError(
@@ -675,19 +681,10 @@ def decode_z(
         r_max = bundle.ell // 4
     mf = bundle.m_fiber
     full = (1 << mf) - 1
-    n_vars = bundle.n_vars
     n_checks = bundle.n_checks
     n_qubits = cx.dims[1]
     twist = bundle.twist_of
-    edges = [
-        (b, a) for a, row in enumerate(bundle.base_code.adjacency) for b in row
-    ]
-    var, check = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    shift = np.array([twist.get(e, 0) for e in edges], dtype=np.intp)
-    # legs[e, u]: the 0-cell that h(b, u) meets over a, for edge e = (b, a).
-    legs = bundle.c0_cell(check[:, None], shift[:, None] + np.arange(mf))
-    # Float sums run through BLAS; they are small integers, hence exact.
-    incidence = (np.arange(n_vars)[:, None] == var) * 1.0
+    legs, incidence = bundle.edge_legs
 
     s_bits = syndrome.bits
     u_bits = 0
@@ -754,8 +751,7 @@ def decode_z(
                 if q is not None and q != p:
                     move ^= string_mask(p, q) << bundle.v_cell(a2, 0)
         u_bits ^= move
-        for c in BitChain(n_qubits, move).iter_support():
-            s_bits ^= d1_cols.row(c)
+        s_bits ^= d1.mul_bits(move)
         if int.bit_count(s_bits) >= before:
             raise RuntimeError("accepted move failed to reduce the syndrome")
         moves += 1
@@ -783,6 +779,8 @@ def decode_z(
     leftover = syndrome.bits ^ d1.mul_bits(out_bits)
     for a in range(n_checks):
         pattern = (leftover >> (a * mf)) & full
+        if not pattern:
+            continue
         if int.bit_count(pattern) % 2:
             return DecodeResult(
                 BitChain(n_qubits, 0),

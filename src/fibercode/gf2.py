@@ -131,9 +131,12 @@ class Gf2Matrix:
 
     Two caches, filled on first use and never part of the value (equality
     and hashing read the shape and rows only): the transpose, and the
-    elimination record that every rank, solve, kernel, row-space and
-    pivot query reads. A racing fill from two threads stores an equal
-    value, so shared matrices need no lock.
+    elimination record that every rank, solve, kernel, row-space,
+    column-space and pivot query reads. The record keeps the left null
+    space as one matrix, the left-null block, so column-space membership
+    is a mat-vec with it. ``mul_bits`` XORs rows of the transpose, so it
+    costs O(|x|) big-int XORs, not one parity per row. A racing fill from
+    two threads stores an equal value, so shared matrices need no lock.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows", "_transpose", "_elimination")
@@ -284,11 +287,18 @@ class Gf2Matrix:
         return Gf2Matrix(out, other.n_cols)
 
     def mul_bits(self, x: int) -> int:
-        """Apply the matrix to a column vector given as a bit mask."""
+        """Apply the matrix to a column vector given as a bit mask: the
+        XOR of the columns at the set bits of x, one per set bit."""
+        if x >> self.n_cols:
+            raise ValueError("bits outside of column range")
+        # The slot, not transpose(): a cached transpose costs no call.
+        t = self._transpose
+        cols = (t if t is not None else self.transpose()).rows
         acc = 0
-        for i, r in enumerate(self.rows):
-            if (r & x).bit_count() & 1:
-                acc |= 1 << i
+        while x:
+            low = x & -x
+            acc ^= cols[low.bit_length() - 1]
+            x ^= low
         return acc
 
     def mul_chain(self, c: BitChain) -> BitChain:
@@ -298,14 +308,16 @@ class Gf2Matrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...]]:
+    def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...], "Gf2Matrix"]:
         """The cached RREF of [M | I]: (pivot column -> reduced row, in
-        row order; transform), computed on first use.
+        row order; the transforms of those rows; the left-null block),
+        computed on first use.
 
-        Reduced row r is the sum of the original rows in transform[r];
-        the rows after the pivot rows are zero, so their transforms span
-        the left null space. The identity columns never hold a pivot, so
-        they record the row operations without steering them.
+        Reduced row r is the sum of the original rows in transform r.
+        The rows after the pivot rows are zero, so their transforms span
+        the left null space; they are the rows of the left-null block.
+        The identity columns never hold a pivot, so they record the row
+        operations without steering them.
         """
         if self._elimination is not None:
             return self._elimination
@@ -330,9 +342,11 @@ class Gf2Matrix:
             rows[top] = piv
             pivots.append(mask.bit_length() - 1)
         low = (1 << n_cols) - 1
+        rank = len(pivots)
         record = (
             {c: r & low for c, r in zip(pivots, rows)},
-            tuple(r >> n_cols for r in rows),
+            tuple(r >> n_cols for r in rows[:rank]),
+            Gf2Matrix([r >> n_cols for r in rows[rank:]], n_rows),
         )
         object.__setattr__(self, "_elimination", record)
         return record
@@ -349,19 +363,24 @@ class Gf2Matrix:
 
         Returns None when the system is inconsistent.
         """
-        if b.length != self.n_rows:
-            raise ValueError("rhs length mismatch")
-        reduced, transform = self._eliminate()
+        if not self.column_space_contains(b):
+            return None
+        reduced, transform, _ = self._eliminate()
         bits = b.bits
-        # The transformed rhs must vanish on the zero rows of the RREF.
-        for t in transform[len(reduced):]:
-            if (t & bits).bit_count() & 1:
-                return None
         x = 0
         for c, t in zip(reduced, transform):
             if (t & bits).bit_count() & 1:
                 x |= 1 << c
         return BitChain(self.n_cols, x)
+
+    def column_space_contains(self, b: BitChain) -> bool:
+        """Whether b is a GF(2) combination of the columns: whether the
+        left-null block maps it to zero. Without a left null space every
+        b qualifies, and nothing is built to say so."""
+        if b.length != self.n_rows:
+            raise ValueError("rhs length mismatch")
+        left_null = self._eliminate()[2]
+        return not left_null.n_rows or not left_null.mul_bits(b.bits)
 
     def kernel_basis(self) -> list[BitChain]:
         """Basis of the right null space, one vector per free column."""
@@ -406,23 +425,31 @@ def to_alist(mat: Gf2Matrix) -> str:
     First line is "cols rows". Index lists are 1-based and zero-padded to
     the maximum weight, matching the classic Gallager/MacKay layout.
     """
-    n, m = mat.n_cols, mat.n_rows
-    col_lists = [list(mat.col_support(j)) for j in range(n)]
-    row_lists = [list(mat.row_support(i)) for i in range(m)]
-    mcw = max((len(c) for c in col_lists), default=0)
-    mrw = max((len(r) for r in row_lists), default=0)
+    # One walk over the rows yields both lists, lowest index first; the
+    # bit length of the lowest set bit is its 1-based position.
+    row_lists = []
+    col_lists: list[list[int]] = [[] for _ in range(mat.n_cols)]
+    for i, bits in enumerate(mat.rows, start=1):
+        row = []
+        while bits:
+            low = bits & -bits
+            j = low.bit_length()
+            row.append(j)
+            col_lists[j - 1].append(i)
+            bits ^= low
+        row_lists.append(row)
+    mcw = max(map(len, col_lists), default=0)
+    mrw = max(map(len, row_lists), default=0)
     lines = [
-        f"{n} {m}",
+        f"{mat.n_cols} {mat.n_rows}",
         f"{mcw} {mrw}",
         " ".join(str(len(c)) for c in col_lists),
         " ".join(str(len(r)) for r in row_lists),
     ]
     for c in col_lists:
-        padded = [i + 1 for i in c] + [0] * (mcw - len(c))
-        lines.append(" ".join(str(i) for i in padded))
+        lines.append(" ".join(map(str, c + [0] * (mcw - len(c)))))
     for r in row_lists:
-        padded = [j + 1 for j in r] + [0] * (mrw - len(r))
-        lines.append(" ".join(str(j) for j in padded))
+        lines.append(" ".join(map(str, r + [0] * (mrw - len(r)))))
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,11 @@
 The reference that the cached elimination record of ``Gf2Matrix`` and
 the (co)homology bases in fibercode.complexes are tested against. Each
 query eliminates from scratch: ``rref`` per rank or kernel call, a fresh
-augmented RREF per ``solve``, and two leading-bit eliminators in the
-complexes module. The bodies are the former methods and helpers with
-``self`` turned into a ``mat`` argument.
+augmented RREF per ``solve`` or column-space membership test, and two
+leading-bit eliminators in the complexes module. ``mul_bits`` takes one
+parity per row, where ``Gf2Matrix.mul_bits`` XORs columns. The bodies
+are the former methods and helpers with ``self`` turned into a ``mat``
+argument.
 
 Not collected by pytest; the differential tests import it.
 """
@@ -48,6 +50,15 @@ def rref(mat: Gf2Matrix) -> tuple[list[int], list[tuple[int, int]]]:
         if pivot_row == n_rows:
             break
     return rows, pivots
+
+
+def mul_bits(mat: Gf2Matrix, x: int) -> int:
+    """Apply the matrix to a column vector given as a bit mask."""
+    acc = 0
+    for i, r in enumerate(mat.rows):
+        if (r & x).bit_count() & 1:
+            acc |= 1 << i
+    return acc
 
 
 def rank(mat: Gf2Matrix) -> int:
@@ -94,6 +105,11 @@ def kernel_basis(mat: Gf2Matrix) -> list[BitChain]:
                 v |= 1 << c
         basis.append(BitChain(mat.n_cols, v))
     return basis
+
+
+def column_space_contains(mat: Gf2Matrix, b: BitChain) -> bool:
+    """Whether b is a GF(2) combination of the columns, by solving."""
+    return solve(mat, b) is not None
 
 
 def row_space_contains(mat: Gf2Matrix, c: BitChain) -> bool:

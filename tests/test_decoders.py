@@ -280,6 +280,19 @@ class TestFixableTest:
         with pytest.raises(ValueError):
             fixable_test(toy, BitChain(40, 0), 0, "bogus")
 
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 2 / 3, 0.8, 0.85, 1, 1.0])
+    def test_ratios_match_reference(self, desk, ratio):
+        n_qubits = desk.complex.dims[1]
+        rng = random.Random(f"ratio-{ratio}")
+        for _ in range(20):
+            e = BitChain.from_support(
+                n_qubits, rng.sample(range(n_qubits), rng.randrange(1, 12))
+            )
+            for a in range(desk.n_checks):
+                assert fixable_test(desk, e, a, ratio=ratio) == (
+                    decoder_reference.fixable_test(desk, e, a, ratio=ratio)
+                )
+
     def test_exact_mode_refuses_high_degree(self):
         base = PlainBase(n=17, m=1, adjacency=(tuple(range(17)),))
         bundle = build_bundle(base, 3)
@@ -591,6 +604,44 @@ class TestDecodeZMatchesReference:
         assert decode_z(bundle, s, r_max) == decoder_reference.decode_z(
             bundle, s, r_max
         )
+
+
+class TestDecodeZTablesPerBundle:
+    """``decode_z`` reads its Tanner-edge tables from the bundle it is
+    given, so alternating between bundles mixes no tables."""
+
+    def test_interleaved_bundles_match_reference(self, desk):
+        torus = build_bundle(cycle_base(3), 3, {(0, 0): 1})
+        rng = random.Random("z-interleaved")
+        runs = []
+        for bundle in (desk, torus):
+            n_qubits = bundle.complex.dims[1]
+            supports = [[cell] for cell in range(n_qubits)] + [
+                rng.sample(range(n_qubits), weight)
+                for weight in range(2, 5)
+                for _ in range(6)
+            ]
+            runs.append(
+                [
+                    (bundle, syndrome_z(bundle, BitChain.from_support(n_qubits, s)), r)
+                    for s in supports
+                    for r in (1, 3)
+                ]
+            )
+        interleaved = [case for pair in zip(*runs) for case in pair]
+        assert {id(case[0]) for case in interleaved} == {id(desk), id(torus)}
+        fast = [decode_z(bundle, s, r) for bundle, s, r in interleaved]
+        assert fast == [
+            decoder_reference.decode_z(bundle, s, r) for bundle, s, r in interleaved
+        ]
+        for bundle in (desk, torus):
+            tables = bundle.edge_legs
+            assert bundle.edge_legs is tables
+            for table in tables:
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
+        assert desk.edge_legs[0].shape != torus.edge_legs[0].shape
 
 
 class TestDecodeViaHomotopy:

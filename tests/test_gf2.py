@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -255,8 +256,22 @@ def _bits(data, length: int) -> int:
         Gf2Matrix.zeros(3, 0),
         Gf2Matrix.zeros(3, 4),
         Gf2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+        Gf2Matrix.identity(3),
+        Gf2Matrix.from_dense([[1, 1, 0], [0, 1, 1]]),
+        Gf2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]])
+        .transpose()
+        .transpose(),
     ],
-    ids=["0x0", "0x4", "3x0", "zero-3x4", "rank-deficient"],
+    ids=[
+        "0x0",
+        "0x4",
+        "3x0",
+        "zero-3x4",
+        "rank-deficient",
+        "identity",
+        "full-row-rank",
+        "transpose-of-transpose",
+    ],
 )
 def test_degenerate_shapes_match_reference(mat):
     assert mat.rank() == elimination_reference.rank(mat)
@@ -264,9 +279,11 @@ def test_degenerate_shapes_match_reference(mat):
     for raw in range(1 << mat.n_rows):
         b = BitChain(mat.n_rows, raw)
         assert mat.solve(b) == elimination_reference.solve(mat, b)
+        assert mat.column_space_contains(b) == elimination_reference.column_space_contains(mat, b)
     for raw in range(1 << mat.n_cols):
         c = BitChain(mat.n_cols, raw)
         assert mat.row_space_contains(c) == elimination_reference.row_space_contains(mat, c)
+        assert mat.mul_bits(raw) == elimination_reference.mul_bits(mat, raw)
 
 
 @given(any_matrices)
@@ -296,6 +313,62 @@ def test_solve_matches_reference(mat, data):
 
 @given(any_matrices, st.data())
 @settings(max_examples=200, deadline=None)
+def test_mul_bits_matches_reference(mat, data):
+    mat = _fresh(mat)
+    assert mat.mul_bits(0) == 0
+    x = _bits(data, mat.n_cols)
+    assert mat.mul_bits(x) == elimination_reference.mul_bits(mat, x)
+    with pytest.raises(ValueError):
+        mat.mul_bits(x | 1 << mat.n_cols)
+    t = mat.transpose()
+    y = _bits(data, mat.n_rows)
+    assert t.mul_bits(y) == elimination_reference.mul_bits(t, y)
+    # The transpose holds no link back, so its transpose is a new equal
+    # matrix with caches of its own.
+    tt = t.transpose()
+    assert tt == mat and tt is not mat
+    assert tt.mul_bits(x) == elimination_reference.mul_bits(mat, x)
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_space_contains_matches_reference(mat, data):
+    mat = _fresh(mat)
+    assert mat.column_space_contains(BitChain(mat.n_rows, 0))
+    member = BitChain(mat.n_rows, mat.mul_bits(_bits(data, mat.n_cols)))
+    assert mat.column_space_contains(member)
+    assert elimination_reference.column_space_contains(mat, member)
+    b = BitChain(mat.n_rows, _bits(data, mat.n_rows))
+    want = elimination_reference.column_space_contains(mat, b)
+    assert mat.column_space_contains(b) == want
+    assert (mat.solve(b) is not None) == want
+    assert mat.transpose().row_space_contains(b) == want
+    with pytest.raises(ValueError):
+        mat.column_space_contains(BitChain(mat.n_rows + 1, 0))
+
+
+def _no_transpose(self):
+    raise AssertionError("a transpose was built")
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_full_row_rank_membership_builds_nothing(mat, data):
+    # Rows independent of the rows before them: no left null space.
+    full = Gf2Matrix(
+        [mat.rows[i] for i in mat.transpose().pivot_columns()], mat.n_cols
+    )
+    assert full.rank() == full.n_rows
+    b = BitChain(full.n_rows, _bits(data, full.n_rows))
+    want = elimination_reference.solve(full, b)
+    assert want is not None
+    with mock.patch.object(Gf2Matrix, "transpose", _no_transpose):
+        assert full.column_space_contains(b)
+        assert full.solve(b) == want
+
+
+@given(any_matrices, st.data())
+@settings(max_examples=200, deadline=None)
 def test_row_space_contains_matches_reference(mat, data):
     mat = _fresh(mat)
     combo = mat.transpose().mul_bits(_bits(data, mat.n_rows))
@@ -315,17 +388,32 @@ def test_caches_stay_out_of_the_value(mat, data):
     cold = _fresh(mat)
     warm = _fresh(mat)
     b = BitChain(mat.n_rows, _bits(data, mat.n_rows))
-    first = (warm.rank(), warm.solve(b), warm.kernel_basis(), warm.transpose())
+    x = _bits(data, mat.n_cols)
+
+    def answers(m):
+        return (
+            m.rank(),
+            m.solve(b),
+            m.column_space_contains(b),
+            m.mul_bits(x),
+            m.kernel_basis(),
+            m.transpose(),
+        )
+
+    # The first call fills the transpose, the elimination record and the
+    # transpose of its left-null block.
+    first = answers(warm)
     assert warm == cold and hash(warm) == hash(cold)
     assert {warm, cold} == {cold}
-    assert warm.transpose() is first[3]
-    assert (warm.rank(), warm.solve(b), warm.kernel_basis(), warm.transpose()) == first
-    assert first == (cold.rank(), cold.solve(b), cold.kernel_basis(), cold.transpose())
+    assert warm.transpose() is first[-1]
+    assert answers(warm) == first
+    assert first == answers(cold)
 
 
 def test_dropped_matrices_leave_no_cycles():
     # Matrices are freed by reference counting alone: neither the cached
-    # transpose nor the elimination record may point back at its owner.
+    # transpose nor the elimination record, whose left-null block caches
+    # a transpose of its own, may point back at its owner.
     gc.collect()
     gc.disable()
     try:
@@ -337,6 +425,9 @@ def test_dropped_matrices_leave_no_cycles():
             mat.solve(BitChain(mat.n_rows, seed % (1 << mat.n_rows)))
             mat.kernel_basis()
             mat.row_space_contains(BitChain(n, seed % (1 << n)))
+            # n + 2 rows in n columns: the left-null block is never empty.
+            mat.column_space_contains(BitChain(mat.n_rows, (seed * 7) % (1 << mat.n_rows)))
+            mat.mul_bits(seed % (1 << n))
             del mat
         assert gc.collect() == 0
     finally:
@@ -358,13 +449,20 @@ def test_racing_threads_fill_equal_caches():
                 elimination_reference.rank(mat),
                 elimination_reference.kernel_basis(mat),
                 elimination_reference.solve(mat, b),
+                elimination_reference.column_space_contains(mat, b),
                 elimination_reference.rank(mat.transpose()),
             )
             got = []
 
             def work():
                 got.append(
-                    (mat.rank(), mat.kernel_basis(), mat.solve(b), mat.transpose().rank())
+                    (
+                        mat.rank(),
+                        mat.kernel_basis(),
+                        mat.solve(b),
+                        mat.column_space_contains(b),
+                        mat.transpose().rank(),
+                    )
                 )
 
             threads = [threading.Thread(target=work) for _ in range(8)]
