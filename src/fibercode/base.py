@@ -428,46 +428,30 @@ def export_base_sidecar(
 def parse_base_sidecar(
     text: str,
 ) -> tuple[PartitionedBaseCode, tuple[int, ...] | None]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _SIDECAR_HEADER:
-        raise ValueError("not a fibercode base sidecar")
-    if len(lines) < 2:
-        raise ValueError("sidecar has no metadata line")
-    meta = lines[1].split()
-    if meta[0::2] != ["n", "m", "delta", "k_types", "seed"]:
-        raise ValueError("bad sidecar metadata line")
-    n, m, delta, k_types, seed = (int(v) for v in meta[1::2])
-    heads = []
-    tails = []
-    adjacency = []
-    twists: list[int] = []
-    types = []
-    for ln in lines[2:]:
-        fields = [f.strip() for f in ln.split(";")]
-        if len(fields) not in (3, 4):
-            raise ValueError(f"bad sidecar line: {ln!r}")
-        types.append(int(fields[0]))
-        hs = tuple(int(t) for t in fields[1].split()) if fields[1] else ()
-        ts = tuple(int(t) for t in fields[2].split()) if fields[2] else ()
-        heads.append(hs)
-        tails.append(ts)
-        adjacency.append(tuple(sorted(hs + ts)))
-        if len(fields) == 4:
-            twists.append(int(fields[3]))
-    if len(adjacency) != m:
-        raise ValueError("check count disagrees with metadata")
-    if twists and len(twists) != m:
-        raise ValueError("twist field must appear on every line or none")
+    """Parse the text export_base_sidecar writes, and nothing else.
+
+    Reads n, delta, k_types and seed, and each check's heads, tails and
+    optional twist; the header, m and the type fields are checked by
+    comparing the rebuilt sidecar with the input.
+    """
+    _, meta, *checks = text.splitlines()
+    n, _, delta, k_types, seed = (int(v) for v in meta.split()[1::2])
+    heads, tails, twists = [], [], []
+    for line in checks:
+        _, hs, ts, *twist = line.split("; ")
+        heads.append(tuple(int(j) for j in hs.split()))
+        tails.append(tuple(int(j) for j in ts.split()))
+        twists.extend(int(t) for t in twist)
     code = PartitionedBaseCode(
         n=n,
         delta=delta,
         k_types=k_types,
         seed=seed,
-        adjacency=tuple(adjacency),
+        adjacency=tuple(tuple(sorted(h + t)) for h, t in zip(heads, tails)),
         heads=tuple(heads),
         tails=tuple(tails),
     )
-    for a, tau in enumerate(types):
-        if code.type_of(a) != tau:
-            raise ValueError(f"check {a} type {tau} breaks the block layout")
-    return code, (tuple(twists) if twists else None)
+    tail_twists = tuple(twists) if twists and len(twists) == code.m else None
+    if export_base_sidecar(code, tail_twists) != text:
+        raise ValueError("not a sidecar in the form export_base_sidecar writes")
+    return code, tail_twists

@@ -288,6 +288,8 @@ _LABELS_HEADER = "fibercode-labels v1"
 
 
 def serialize_complex(cx: ChainComplex) -> str:
+    """Header, degree count and dims, then each boundary as a whole
+    alist, whose 4 + dims[j-1] + dims[j] lines include any empty ones."""
     parts = [
         _COMPLEX_HEADER,
         f"degrees {cx.top_degree}",
@@ -295,69 +297,63 @@ def serialize_complex(cx: ChainComplex) -> str:
     ]
     for j in range(1, cx.top_degree + 1):
         parts.append(f"boundary {j}")
-        parts.append(to_alist(cx.boundary(j)).rstrip("\n"))
+        parts.append(to_alist(cx.boundary(j))[:-1])
     parts.append("end")
     return "\n".join(parts) + "\n"
 
 
 def parse_complex(text: str) -> ChainComplex:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _COMPLEX_HEADER:
-        raise ValueError("not a fibercode complex file")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 2 or head[0] != "degrees":
-        raise ValueError("missing degrees line")
-    k = int(head[1])
-    head = lines[2].split() if len(lines) > 2 else []
-    if not head or head[0] != "dims":
-        raise ValueError("missing dims line")
-    dims = tuple(int(t) for t in head[1:])
-    if len(dims) != k + 1 or any(d < 0 for d in dims):
-        raise ValueError("dims line disagrees with degrees")
+    """Parse the text serialize_complex writes for some complex, and
+    nothing else.
+
+    Reads the dims line and hands each boundary block, whose line count
+    the dims fix, to from_alist with its trailing newline; every other
+    line is checked by comparing the rebuilt complex's text with the
+    input.
+    """
+    lines = text.split("\n")
+    dims = tuple(int(t) for t in lines[2].split()[1:]) if len(lines) > 2 else ()
     boundaries = []
-    pos = 3
-    for j in range(1, k + 1):
-        if pos == len(lines) or lines[pos].strip() != f"boundary {j}":
-            raise ValueError(f"expected boundary {j} at line {pos + 1}")
-        pos += 1
-        block = []
-        while pos < len(lines) and not (
-            lines[pos].startswith("boundary ") or lines[pos].strip() == "end"
-        ):
-            block.append(lines[pos])
-            pos += 1
-        mat = from_alist("\n".join(block))
-        boundaries.append(mat)
-    if [ln.strip() for ln in lines[pos:] if ln.strip()] != ["end"]:
-        raise ValueError(f"expected a final end line at line {pos + 1}")
+    pos = 4
+    for j in range(1, len(dims)):
+        end = pos + 4 + dims[j] + dims[j - 1]
+        boundaries.append(from_alist("\n".join(lines[pos:end]) + "\n"))
+        pos = end + 1
     cx = ChainComplex(dims, boundaries)
+    if serialize_complex(cx) != text:
+        raise ValueError("not a complex in the form serialize_complex writes")
     cx.validate()
     return cx
 
 
-def serialize_labels(cx: ChainComplex) -> str:
+def _labels_text(labels: Sequence[Sequence[str]]) -> str:
     parts = [_LABELS_HEADER]
-    for j in range(cx.top_degree + 1):
-        parts.append(f"degree {j} {cx.dims[j]}")
-        for i in range(cx.dims[j]):
-            parts.append(cx.label(j, i))
+    for j, block in enumerate(labels):
+        parts.append(f"degree {j} {len(block)}")
+        parts.extend(block)
     return "\n".join(parts) + "\n"
 
 
+def serialize_labels(cx: ChainComplex) -> str:
+    return _labels_text(
+        [[cx.label(j, i) for i in range(d)] for j, d in enumerate(cx.dims)]
+    )
+
+
 def parse_labels(text: str) -> tuple[tuple[str, ...], ...]:
+    """Parse the text serialize_labels writes, and nothing else: each
+    block is read by the count on its degree line, and the labels must
+    give back the input text."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != _LABELS_HEADER:
-        raise ValueError("not a fibercode labels file")
     out = []
     pos = 1
     while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 3 or head[0] != "degree":
-            raise ValueError(f"bad degree header at line {pos + 1}")
-        count = int(head[2])
-        block = lines[pos + 1 : pos + 1 + count]
-        if len(block) != count:
-            raise ValueError("truncated labels block")
-        out.append(tuple(block))
+        count = int(lines[pos].rpartition(" ")[2])
+        if count < 0:
+            raise ValueError(f"negative label count at line {pos + 1}")
+        out.append(tuple(lines[pos + 1 : pos + 1 + count]))
         pos += 1 + count
-    return tuple(out)
+    labels = tuple(out)
+    if _labels_text(labels) != text:
+        raise ValueError("not a labels file in the form serialize_labels writes")
+    return labels

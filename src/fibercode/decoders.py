@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -807,19 +806,6 @@ def decode_z(
 
 # -- decoding through a homotopy equivalence ----------------------------------
 
-_VERIFIED_EQUIVALENCES: "weakref.WeakSet[HomotopyEquivalence]" = (
-    weakref.WeakSet()
-)
-
-
-def _ensure_verified(equiv: HomotopyEquivalence) -> None:
-    if equiv in _VERIFIED_EQUIVALENCES:
-        return
-    if not equiv.verify():
-        raise ValueError("equivalence fails verification")
-    _VERIFIED_EQUIVALENCES.add(equiv)
-
-
 def decode_via_homotopy(
     equiv: HomotopyEquivalence,
     inner: Callable[[BitChain], DecodeResult],
@@ -838,7 +824,10 @@ def decode_via_homotopy(
     equivalence.  Inner failures propagate; inner verdicts are recorded
     in the notes but never upgraded here.
     """
-    _ensure_verified(equiv)
+    # An equivalence verified once, or reversed or transposed from one,
+    # records it; any other is verified here.
+    if not (equiv._verified or equiv.verify()):
+        raise ValueError("equivalence fails verification")
     work = transpose_equivalence(equiv) if cohomology else equiv
     top = work.f.source.top_degree
     j = (top - error_degree) if cohomology else error_degree

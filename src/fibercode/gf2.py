@@ -142,13 +142,12 @@ class Gf2Matrix:
     __slots__ = ("n_rows", "n_cols", "rows", "_transpose", "_elimination")
 
     def __init__(self, rows: Sequence[int], n_cols: int):
-        mask = (1 << n_cols) - 1
-        for r in rows:
-            if r < 0 or r & ~mask:
-                raise ValueError("row bits outside of column range")
+        rows = tuple(rows)
+        if n_cols < 0 or rows and (min(rows) < 0 or max(rows) >> n_cols):
+            raise ValueError("row bits outside of column range")
         object.__setattr__(self, "n_rows", len(rows))
         object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_transpose", None)
         object.__setattr__(self, "_elimination", None)
 
@@ -426,16 +425,18 @@ def to_alist(mat: Gf2Matrix) -> str:
     the maximum weight, matching the classic Gallager/MacKay layout.
     """
     # One walk over the rows yields both lists, lowest index first; the
-    # bit length of the lowest set bit is its 1-based position.
+    # bit length of the lowest set bit is its 1-based position. Each
+    # index is formatted once, and the padding is ready-made "0"s.
+    digits = list(map(str, range(max(mat.n_rows, mat.n_cols) + 1)))
     row_lists = []
-    col_lists: list[list[int]] = [[] for _ in range(mat.n_cols)]
+    col_lists: list[list[str]] = [[] for _ in range(mat.n_cols)]
     for i, bits in enumerate(mat.rows, start=1):
         row = []
         while bits:
             low = bits & -bits
             j = low.bit_length()
-            row.append(j)
-            col_lists[j - 1].append(i)
+            row.append(digits[j])
+            col_lists[j - 1].append(digits[i])
             bits ^= low
         row_lists.append(row)
     mcw = max(map(len, col_lists), default=0)
@@ -446,51 +447,36 @@ def to_alist(mat: Gf2Matrix) -> str:
         " ".join(str(len(c)) for c in col_lists),
         " ".join(str(len(r)) for r in row_lists),
     ]
-    for c in col_lists:
-        lines.append(" ".join(map(str, c + [0] * (mcw - len(c)))))
-    for r in row_lists:
-        lines.append(" ".join(map(str, r + [0] * (mrw - len(r)))))
+    for lists, width in ((col_lists, mcw), (row_lists, mrw)):
+        pad = ["0"] * width
+        lines.extend(" ".join(x + pad[len(x) :]) for x in lists)
     return "\n".join(lines) + "\n"
 
 
 def from_alist(text: str) -> Gf2Matrix:
-    """Parse an alist produced by to_alist (padding zeros ignored)."""
+    """Parse the text to_alist writes for some matrix, and nothing else.
+
+    Reads the header and the column lists, rebuilds the matrix, and
+    raises ValueError unless to_alist gives back the text exactly; that
+    one comparison checks the degrees, the row lists and the padding.
+    The token count is checked against the header before anything is
+    allocated or indexed.
+    """
     tokens = text.split()
-    pos = 0
-
-    def take(k: int) -> list[int]:
-        nonlocal pos
-        out = [int(t) for t in tokens[pos : pos + k]]
-        if len(out) != k:
-            raise ValueError("truncated alist")
-        pos += k
-        return out
-
-    n, m = take(2)
-    mcw, mrw = take(2)
-    col_degs = take(n)
-    row_degs = take(m)
-    rows = [0] * m
+    n, m, mcw, mrw = head = list(map(int, tokens[:4]))
+    if min(head) < 0 or len(tokens) != 4 + n + m + n * mcw + m * mrw:
+        raise ValueError("alist token count disagrees with its header")
+    start = 4 + n + m
+    cols = list(map(int, tokens[start : start + n * mcw]))
+    if cols and (min(cols) < 0 or max(cols) > m):
+        raise ValueError("alist row index out of range")
+    rows = [0] * (m + 1)
     for j in range(n):
-        entries = take(mcw) if mcw else []
-        live = [e - 1 for e in entries if e > 0]
-        if len(live) != col_degs[j]:
-            raise ValueError(f"column {j} degree mismatch")
-        for i in live:
-            if not 0 <= i < m:
-                raise ValueError("row index out of range")
-            rows[i] |= 1 << j
-    # Row lists are redundant; read them and cross-check.
-    for i in range(m):
-        entries = take(mrw) if mrw else []
-        live = sorted(e - 1 for e in entries if e > 0)
-        if len(live) != row_degs[i]:
-            raise ValueError(f"row {i} degree mismatch")
-        expect = sorted(
-            BitChain(n, rows[i]).iter_support()
-        )
-        if live != expect:
-            raise ValueError(f"row {i} list inconsistent with columns")
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after the alist")
-    return Gf2Matrix(rows, n)
+        bit = 1 << j
+        for i in cols[j * mcw : (j + 1) * mcw]:
+            if i:  # 0 pads the list
+                rows[i] |= bit
+    mat = Gf2Matrix(rows[1:], n)
+    if to_alist(mat) != text:
+        raise ValueError("not an alist in the form to_alist writes")
+    return mat

@@ -36,7 +36,7 @@ with a zero homotopy term.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from fibercode.bundle import Bundle, PlainBase, build_bundle
@@ -125,13 +125,16 @@ class HomotopyEquivalence:
     h_source[j]: A_j -> A_{j+1} witnesses gf + I = h d + d h on A and
     h_target does the same for fg on B. Shapes are enforced here; the
     defining identities are checked by verify(), which the rewrite
-    constructors call before returning.
+    constructors call before returning. An equivalence remembers that
+    verify() passed, outside its value, and its reversal and
+    transposition inherit that record.
     """
 
     f: ChainMap
     g: ChainMap
     h_source: tuple[Gf2Matrix, ...]
     h_target: tuple[Gf2Matrix, ...]
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_source", tuple(self.h_source))
@@ -165,9 +168,17 @@ class HomotopyEquivalence:
             for j in range(1, k + 1):
                 if cm.target.boundary(j) @ cm.maps[j] != cm.maps[j - 1] @ cm.source.boundary(j):
                     return False
-        return _homotopy_holds(a, self.g, self.f, self.h_source) and _homotopy_holds(
+        ok = _homotopy_holds(a, self.g, self.f, self.h_source) and _homotopy_holds(
             b, self.f, self.g, self.h_target
         )
+        object.__setattr__(self, "_verified", ok)
+        return ok
+
+    def _inheriting(self, other: "HomotopyEquivalence") -> "HomotopyEquivalence":
+        """other, marked verified when self is: for the reversal and the
+        transposition, whose identities are those of self."""
+        object.__setattr__(other, "_verified", self._verified)
+        return other
 
     def lipschitz_report(self) -> dict[str, tuple[int, ...]]:
         """Measured constants for f, g and their transposes, per degree."""
@@ -226,11 +237,15 @@ def transpose_equivalence(
 
     Forward and reverse maps swap and transpose; each homotopy stays on
     its own side. Optional source/target supply existing complex objects
-    (they must equal the computed transposes), preserving labels.
+    (they must equal the computed transposes, else ValueError),
+    preserving labels.
     """
     a, b = equiv.f.source, equiv.f.target
-    ta = transpose_complex(a) if source is None else source
-    tb = transpose_complex(b) if target is None else target
+    ta, tb = transpose_complex(a), transpose_complex(b)
+    if source not in (None, ta) or target not in (None, tb):
+        raise ValueError("source and target must be the transposed complexes")
+    ta = ta if source is None else source
+    tb = tb if target is None else target
     k = a.top_degree
 
     def flip(h: tuple[Gf2Matrix, ...], cx: ChainComplex) -> tuple[Gf2Matrix, ...]:
@@ -240,7 +255,9 @@ def transpose_equivalence(
 
     f = ChainMap(ta, tb, tuple(equiv.g.maps[k - j].transpose() for j in range(k + 1)))
     g = ChainMap(tb, ta, tuple(equiv.f.maps[k - j].transpose() for j in range(k + 1)))
-    return HomotopyEquivalence(f, g, flip(equiv.h_source, ta), flip(equiv.h_target, tb))
+    return equiv._inheriting(
+        HomotopyEquivalence(f, g, flip(equiv.h_source, ta), flip(equiv.h_target, tb))
+    )
 
 
 def reverse_equivalence(equiv: HomotopyEquivalence) -> HomotopyEquivalence:
@@ -250,7 +267,9 @@ def reverse_equivalence(equiv: HomotopyEquivalence) -> HomotopyEquivalence:
     homotopies turns the four defining identities into each other, so
     the reversal of a valid equivalence is valid without recomputation.
     """
-    return HomotopyEquivalence(equiv.g, equiv.f, equiv.h_target, equiv.h_source)
+    return equiv._inheriting(
+        HomotopyEquivalence(equiv.g, equiv.f, equiv.h_target, equiv.h_source)
+    )
 
 
 # -- elementary rewrites -------------------------------------------------------
@@ -678,77 +697,87 @@ def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
 # -- serialization ---------------------------------------------------------------
 
 
+def _alist_names(source_dims: list[int], target_dims: list[int]) -> dict[str, list[str]]:
+    """The alist file of each saved matrix, by tag: one per degree for f,
+    g and the two homotopies, one per positive degree for the
+    boundaries."""
+    counts = {
+        "f": len(source_dims),
+        "g": len(target_dims),
+        "h_source": len(source_dims),
+        "h_target": len(target_dims),
+        "source_boundary": len(source_dims) - 1,
+        "target_boundary": len(target_dims) - 1,
+    }
+    return {tag: [f"{tag}{j}.alist" for j in range(n)] for tag, n in counts.items()}
+
+
+def _manifest_text(source_dims: list[int], target_dims: list[int]) -> str:
+    """The manifest save_equivalence writes and load_equivalence expects."""
+    manifest = {
+        "source_dims": source_dims,
+        "target_dims": target_dims,
+        "files": _alist_names(source_dims, target_dims),
+    }
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
 def save_equivalence(equiv: HomotopyEquivalence, directory: str | Path) -> Path:
-    """Write an equivalence as alist matrices plus a manifest."""
+    """Write an equivalence as alist matrices plus a manifest, byte for
+    byte as load_equivalence reads them back."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, list[str]] = {}
-
-    def dump(tag: str, matrices) -> None:
-        names = []
-        for j, mat in enumerate(matrices):
-            name = f"{tag}{j}.alist"
-            (directory / name).write_text(to_alist(mat))
-            names.append(name)
-        files[tag] = names
-
-    dump("f", equiv.f.maps)
-    dump("g", equiv.g.maps)
-    dump("h_source", equiv.h_source)
-    dump("h_target", equiv.h_target)
-    dump("source_boundary", equiv.f.source.boundaries)
-    dump("target_boundary", equiv.f.target.boundaries)
-    manifest = {
-        "source_dims": list(equiv.f.source.dims),
-        "target_dims": list(equiv.f.target.dims),
-        "files": files,
-    }
+    source_dims, target_dims = list(equiv.f.source.dims), list(equiv.f.target.dims)
+    names = _alist_names(source_dims, target_dims)
+    for tag, matrices in (
+        ("f", equiv.f.maps),
+        ("g", equiv.g.maps),
+        ("h_source", equiv.h_source),
+        ("h_target", equiv.h_target),
+        ("source_boundary", equiv.f.source.boundaries),
+        ("target_boundary", equiv.f.target.boundaries),
+    ):
+        for name, mat in zip(names[tag], matrices, strict=True):
+            (directory / name).write_bytes(to_alist(mat).encode())
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_bytes(_manifest_text(source_dims, target_dims).encode())
     return path
 
 
 def load_equivalence(directory: str | Path) -> HomotopyEquivalence:
     """Read back a saved equivalence and verify it before returning.
 
-    A malformed manifest (not an object, dims that are not lists of
-    cell counts, a missing files table or tag, a file name that is not
-    a plain name inside the directory) or a failed verification raises
-    ValueError.
+    The manifest must be the text save_equivalence writes for its two
+    dims lists, and each dims entry a nonnegative int; the alist file
+    names follow from the dims and are never read from the manifest.
+    Any other manifest, or a failed verification, raises ValueError.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError("equivalence manifest must be a JSON object")
-    files = manifest.get("files")
-    if not isinstance(files, dict):
-        raise ValueError("equivalence manifest has no files table")
+    # Bytes, not read_text: newline translation would accept CRLF files.
+    text = (directory / "manifest.json").read_bytes().decode()
+    manifest = json.loads(text)
 
     def dims(key: str) -> list[int]:
-        value = manifest.get(key)
-        if (
-            not isinstance(value, list)
-            or not value
-            or any(type(d) is not int or d < 0 for d in value)
+        value = manifest.get(key) if isinstance(manifest, dict) else None
+        if not isinstance(value, list) or any(
+            type(d) is not int or d < 0 for d in value
         ):
             raise ValueError(f"manifest {key} must be a list of cell counts")
         return value
 
-    def grab(tag: str) -> tuple[Gf2Matrix, ...]:
-        names = files.get(tag)
-        if not isinstance(names, list):
-            raise ValueError(f"manifest lists no {tag} files")
-        for name in names:
-            if (
-                not isinstance(name, str)
-                or Path(name).name != name
-                or name in ("", "..")
-            ):
-                raise ValueError(f"manifest file {name!r} is not a plain name")
-        return tuple(from_alist((directory / name).read_text()) for name in names)
+    source_dims, target_dims = dims("source_dims"), dims("target_dims")
+    if _manifest_text(source_dims, target_dims) != text:
+        raise ValueError("not a manifest in the form save_equivalence writes")
 
-    source = ChainComplex(dims("source_dims"), grab("source_boundary"))
-    target = ChainComplex(dims("target_dims"), grab("target_boundary"))
+    names = _alist_names(source_dims, target_dims)
+
+    def grab(tag: str) -> tuple[Gf2Matrix, ...]:
+        return tuple(
+            from_alist((directory / name).read_bytes().decode()) for name in names[tag]
+        )
+
+    source = ChainComplex(source_dims, grab("source_boundary"))
+    target = ChainComplex(target_dims, grab("target_boundary"))
     equiv = HomotopyEquivalence(
         ChainMap(source, target, grab("f")),
         ChainMap(target, source, grab("g")),

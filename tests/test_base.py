@@ -189,7 +189,7 @@ def test_sidecar_rejects_truncation(keep):
 
 @pytest.mark.parametrize("index", ["2", "5", "-1"])
 def test_sidecar_rejects_variable_out_of_range(index):
-    text = f"fibercode-base v1\nn 2 m 1 delta 2 k_types 1 seed 0\n0; 0 ; {index}\n"
+    text = f"fibercode-base v1\nn 2 m 1 delta 2 k_types 1 seed 0\n0; 0; {index}\n"
     with pytest.raises(ValueError):
         parse_base_sidecar(text)
     parse_base_sidecar(text.replace(f"; {index}", "; 1"))

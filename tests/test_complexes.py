@@ -300,7 +300,9 @@ def test_parse_complex_rejects_every_character_prefix():
 
 def test_parse_complex_requires_end_line():
     text = serialize_complex(_triangle_disk())
-    assert parse_complex(text + "\n") == _triangle_disk()
+    assert parse_complex(text) == _triangle_disk()
+    with pytest.raises(ValueError):  # nothing may follow the end line
+        parse_complex(text + "\n")
     with pytest.raises(ValueError):
         parse_complex(text.replace("end\n", ""))
     with pytest.raises(ValueError):

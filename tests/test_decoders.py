@@ -46,6 +46,7 @@ from fibercode.homotopy import (
     ChainMap,
     HomotopyEquivalence,
     reverse_equivalence,
+    transpose_equivalence,
     weight_reduce_classical,
 )
 from fibercode.twists import gen_twist_graph
@@ -720,6 +721,57 @@ class TestDecodeViaHomotopy:
                 bad, lambda s: decode_brute_force(cx.boundary(1), s),
                 BitChain(5, 0),
             )
+        # Reversed or transposed, a never-verified equivalence inherits no
+        # record, so it is still verified and still refused.
+        with pytest.raises(ValueError):
+            decode_via_homotopy(
+                reverse_equivalence(bad),
+                lambda s: decode_brute_force(cx.boundary(1), s),
+                BitChain(5, 0),
+            )
+        with pytest.raises(ValueError):
+            decode_via_homotopy(
+                transpose_equivalence(bad),
+                lambda s: decode_brute_force(cx.boundary(1).transpose(), s),
+                BitChain(5, 0),
+            )
+
+    def test_verified_record_is_inherited_and_cannot_be_forged(self, monkeypatch):
+        cx = cycle_base(5).as_complex()
+        d1 = cx.boundary(1)
+        calls = []
+        verify = HomotopyEquivalence.verify
+
+        def counting(equiv):
+            calls.append(equiv)
+            return verify(equiv)
+
+        monkeypatch.setattr(HomotopyEquivalence, "verify", counting)
+        good = HomotopyEquivalence.identity(cx)
+        with pytest.raises(TypeError):
+            HomotopyEquivalence(
+                good.f, good.g, good.h_source, good.h_target, _verified=True
+            )
+        decode = lambda e, **kw: decode_via_homotopy(  # noqa: E731
+            e, lambda s: decode_brute_force(d1, s), BitChain(5, 0), **kw
+        )
+        decode(good)
+        assert calls == [good]
+        decode(good)
+        decode(reverse_equivalence(good))
+        decode_via_homotopy(
+            good,
+            lambda s: decode_brute_force(d1.transpose(), s),
+            BitChain(5, 0),
+            error_degree=0,
+            cohomology=True,
+        )
+        assert len(calls) == 1
+        # An equal equivalence built afresh has no record of its own.
+        fresh = HomotopyEquivalence(good.f, good.g, good.h_source, good.h_target)
+        assert fresh == good and hash(fresh) == hash(good)
+        decode(fresh)
+        assert len(calls) == 2 and calls[-1] is fresh
 
     def test_failed_inner_propagates(self, toy):
         equiv = HomotopyEquivalence.identity(toy.complex)

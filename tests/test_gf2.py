@@ -101,6 +101,15 @@ def test_identity_and_mul():
     assert mat @ eye.transpose() == mat
     c = BitChain.from_support(4, [0, 2])
     assert mat.mul_chain(c) == BitChain(2, 0)
+    # Rows are checked once against the column range, in both directions.
+    for rows in ([0b1, -1], [0b1, 1 << 4], [1 << 40]):
+        with pytest.raises(ValueError):
+            Gf2Matrix(rows, 4)
+    with pytest.raises(ValueError):
+        Gf2Matrix([], -1)
+    empty = Gf2Matrix([], 4)
+    assert empty.shape == (0, 4) and empty == Gf2Matrix.zeros(0, 4)
+    assert empty.transpose() == Gf2Matrix.zeros(4, 0)
 
 
 def test_from_col_support_cancellation():

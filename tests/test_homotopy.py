@@ -252,6 +252,10 @@ class TestComposeAndTranspose:
         assert again.f.maps == equiv.f.maps
         assert again.g.maps == equiv.g.maps
         assert again.h_source == equiv.h_source
+        # Supplied complexes must be the transposes: the result inherits
+        # the verified record, which a foreign complex would void.
+        with pytest.raises(ValueError, match="transposed"):
+            transpose_equivalence(flipped, source=merged, target=merged)
 
 
 class TestRandomRewrites:
@@ -481,9 +485,31 @@ class TestSerialization:
             # A valid matrix outside the directory must still be refused.
             (tmp_path / "f0.alist").write_text((directory / "f0.alist").read_text())
             manifest["files"]["f"][0] = "../../f0.alist"
-        path.write_text(json.dumps(manifest))
+        # Written as save_equivalence formats it, so only the fault differs.
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         with pytest.raises(ValueError):
             load_equivalence(directory)
+
+    def test_only_the_written_bytes_load(self, tmp_path):
+        cx = _path_complex(2)
+        _, equiv = combine_cells(cx, 1)
+        directory = tmp_path / "eq"
+        path = save_equivalence(equiv, directory)
+        text = path.read_text()
+        assert load_equivalence(directory) == equiv
+        f0 = directory / "f0.alist"
+        alist = f0.read_bytes()
+        for name, bad in (
+            ("manifest.json", json.dumps(json.loads(text), indent=1)),
+            ("manifest.json", text.replace("\n", "\r\n")),
+            ("f0.alist", alist.decode().replace("\n", "\r\n")),
+        ):
+            (directory / name).write_bytes(bad.encode())
+            with pytest.raises(ValueError):
+                load_equivalence(directory)
+            path.write_text(text)
+            f0.write_bytes(alist)
+        assert load_equivalence(directory) == equiv
 
 
 def _assert_same_equivalence(got, want):

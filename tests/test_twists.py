@@ -79,6 +79,8 @@ class TestGeneration:
             TwistGraph(ell=5, shifts=(0,))
         with pytest.raises(ValueError):
             TwistGraph(ell=5, shifts=(5,))
+        with pytest.raises(ValueError):  # kappa needs at least one type
+            TwistGraph(ell=5, shifts=())
 
     def test_certify_three_classes_first_try(self):
         graph = certify_expander(3, 5, kappa_target=0.5, seed=0)
