@@ -148,7 +148,7 @@ class PartitionedBaseCode:
     delta: int
     k_types: int
     seed: int
-    adjacency: tuple[tuple[int, ...], ...]  # per check, ascending variables
+    adjacency: tuple[tuple[int, ...], ...]  # per check, strictly ascending variables
     heads: tuple[tuple[int, ...], ...]
     tails: tuple[tuple[int, ...], ...]
 
@@ -164,6 +164,8 @@ class PartitionedBaseCode:
                 raise ValueError(f"check {a}: heads+tails is not the neighborhood")
             if merged and (merged[0] < 0 or merged[-1] >= self.n):
                 raise ValueError(f"check {a}: variable index outside 0..n-1")
+            if any(x >= y for x, y in zip(merged, merged[1:])):
+                raise ValueError(f"check {a}: a variable appears twice")
 
     @property
     def m(self) -> int:

@@ -250,6 +250,15 @@ def build_bundle(
         ell = twists.ell
         twists = twists.as_dict()
     twists = dict(twists or {})
+    # Each adjacency entry is its own base 1-cell, so a repeat would
+    # build a double edge that the base matrix cancels.
+    for a, row in enumerate(code.adjacency):
+        if row and (row[0] < 0 or row[-1] >= code.n) or any(
+            x >= y for x, y in zip(row, row[1:])
+        ):
+            raise ValueError(
+                f"check {a}: variables must be strictly ascending in 0..n-1"
+            )
 
     edges = {
         (b, a) for a, row in enumerate(code.adjacency) for b in row

@@ -311,6 +311,11 @@ def _canonical_pair(
     return x_mask, y_bits
 
 
+def _check_ratio(ratio: float) -> None:
+    if not 0 < ratio <= 1:
+        raise ValueError(f"ratio {ratio!r} outside (0, 1]")
+
+
 @functools.lru_cache(typed=True)
 def _exact_ratio(ratio: float) -> tuple[int, int]:
     """The ratio's decimal text as an exact fraction: 0.8 -> (4, 5)."""
@@ -334,6 +339,16 @@ def fixable_test(
     times as many horizontal cells as the best local rewrite does.
     Otherwise the best rewrite found by the requested optimizer is
     returned; it strictly reduces the horizontal weight of ``e``.
+    ``ratio`` must lie in (0, 1].
+
+    Most cells are settled before any optimizer runs. No rewrite leaves
+    more than all deg * m_F horizontal cells near ``a`` vacant, so when
+    (i) holds and ``e`` already vacates ``ratio`` times that many, (iii)
+    holds for every rewrite. Rotating a fiber into aligned coordinates
+    keeps its popcount, so (i) and the vacant count come from the
+    unrotated fibers; and a fiber slot can meet more than deg / 2
+    occupied cells only if more than deg / 2 fibers are occupied, so the
+    aligned rows are built for (ii) only in that case.
 
     ``exact`` mode enumerates every subset of the base 1-cells through
     ``a`` with fiber slots chosen by majority vote; ``alternating`` mode
@@ -341,30 +356,38 @@ def fixable_test(
     """
     if e.length != bundle.complex.dims[1]:
         raise ValueError("chain length differs from the 1-cell count")
+    _check_ratio(ratio)
     mf = bundle.m_fiber
     bits_of_a = bundle.base_code.adjacency[a]
     deg = len(bits_of_a)
     if deg == 0:
         return None
-    rows = _occupancy_rows(bundle, e.bits, a)
-    occupancy = _bit_rows(
-        sum(r << (i * mf) for i, r in enumerate(rows)), deg, mf
-    )
-    counts = occupancy.sum(axis=0)
-    sat_now = int((deg - counts).sum())
-    overfull_row = bool((2 * occupancy.sum(axis=1) > mf).any())
-    overfull_col = bool((2 * counts > deg).any())
     if mode == "exact":
         if deg > 16:
             raise ValueError(
                 "exact mode enumerates 2^degree rewrites; use alternating"
             )
-        x_mask, y_bits, sat_best = _exact_optimum(occupancy)
-    elif mode == "alternating":
-        x_mask, y_bits, sat_best = _alternating_optimum(rows, deg, mf)
-    else:
+    elif mode != "alternating":
         raise ValueError(f"unknown mode {mode!r}")
+    full = (1 << mf) - 1
+    pops = [int.bit_count((e.bits >> (b * mf)) & full) for b in bits_of_a]
+    sat_now = deg * mf - sum(pops)
+    overfull_row = 2 * max(pops) > mf
     num, den = _exact_ratio(ratio)
+    bounded = not overfull_row and sat_now * den >= num * deg * mf
+    if bounded and 2 * (deg - pops.count(0)) <= deg:
+        return None
+    rows = _occupancy_rows(bundle, e.bits, a)
+    occupancy = _bit_rows(
+        sum(r << (i * mf) for i, r in enumerate(rows)), deg, mf
+    )
+    overfull_col = bool((2 * occupancy.sum(axis=0) > deg).any())
+    if bounded and not overfull_col:
+        return None
+    if mode == "exact":
+        x_mask, y_bits, sat_best = _exact_optimum(occupancy)
+    else:
+        x_mask, y_bits, sat_best = _alternating_optimum(rows, deg, mf)
     if (
         not overfull_row
         and not overfull_col
@@ -439,11 +462,12 @@ def decode_x(
     full-clearing rewrite is flip-free, hence a pure coboundary, so
     taking the best rewrite first keeps single-cell errors in the
     correct coset instead of letting a marginal neighbor inject
-    whole-fiber flips.
+    whole-fiber flips.  ``ratio`` is :func:`fixable_test`'s, in (0, 1].
     """
     cx = bundle.complex
     if syndrome.length != cx.dims[2]:
         raise ValueError("syndrome length differs from the 2-cell count")
+    _check_ratio(ratio)
     if not cx.is_coboundary(2, syndrome):
         raise ValueError("syndrome is not the coboundary of any qubit chain")
     d2t = cx.boundary(2).transpose()
@@ -482,10 +506,9 @@ def decode_x(
     amendments = 0
     while True:
         chosen = None
+        chain = BitChain(n_qubits, e_bits)
         for a in range(bundle.n_checks):
-            found = fixable_test(
-                bundle, BitChain(n_qubits, e_bits), a, mode, ratio=ratio
-            )
+            found = fixable_test(bundle, chain, a, mode, ratio=ratio)
             if found is not None and (
                 chosen is None
                 or found.satisfaction_gain > chosen[1].satisfaction_gain

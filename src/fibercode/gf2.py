@@ -7,8 +7,8 @@ most once however many rank, solve, kernel or membership queries it
 answers. Matrices and chains can be shared freely between threads, such
 as the CLI's ``--threads`` workers: a cache depends on the rows alone,
 so two threads racing to fill it store equal values and either may win.
-Elimination is deterministic: pivots are chosen scanning columns left to
-right and taking the first available row.
+Elimination is deterministic: the record is the reduced row echelon form,
+whose pivot columns and reduced rows depend on the matrix alone.
 """
 
 from __future__ import annotations
@@ -309,43 +309,51 @@ class Gf2Matrix:
 
     def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...], "Gf2Matrix"]:
         """The cached RREF of [M | I]: (pivot column -> reduced row, in
-        row order; the transforms of those rows; the left-null block),
-        computed on first use.
+        column order; the transforms of those rows; the left-null block),
+        computed on first use in two passes.
 
-        Reduced row r is the sum of the original rows in transform r.
-        The rows after the pivot rows are zero, so their transforms span
-        the left null space; they are the rows of the left-null block.
-        The identity columns never hold a pivot, so they record the row
-        operations without steering them.
+        The first pass inserts the augmented rows one at a time: a row is
+        cleared at its lowest bit by the pivot row keyed there until it
+        either finds a free lowest bit, where it becomes the pivot row,
+        or has no bit left inside M, when its identity part is a left-null
+        row. The second pass clears every other pivot bit from each pivot
+        row, going in descending pivot order, so each row it adds is
+        already reduced. Reduced row r is the sum of the original rows in
+        transform r. The left-null rows number n_rows - rank and are
+        independent: each holds its own row's identity bit above all the
+        rows it was cleared with.
         """
         if self._elimination is not None:
             return self._elimination
-        n_cols, n_rows = self.n_cols, self.n_rows
-        rows = [r | (1 << (n_cols + i)) for i, r in enumerate(self.rows)]
-        # Row operations never fill a column that no row touches, so only
-        # the occupied columns are visited, lowest first.
-        occupied = 0
-        for r in self.rows:
-            occupied |= r
-        pivots: list[int] = []
-        while occupied and len(pivots) < n_rows:
-            mask = occupied & -occupied
-            occupied ^= mask
-            top = len(pivots)
-            src = next((r for r in range(top, n_rows) if rows[r] & mask), -1)
-            if src < 0:
-                continue
-            piv = rows[src]
-            rows[src] = rows[top]
-            rows = [r ^ piv if r & mask else r for r in rows]
-            rows[top] = piv
-            pivots.append(mask.bit_length() - 1)
+        n_cols = self.n_cols
         low = (1 << n_cols) - 1
-        rank = len(pivots)
+        pivots: dict[int, int] = {}
+        null_rows = []
+        for i, r in enumerate(self.rows):
+            row = r | (1 << (n_cols + i))
+            while row & low:
+                col = (row & -row).bit_length() - 1
+                piv = pivots.get(col)
+                if piv is None:
+                    pivots[col] = row
+                    break
+                row ^= piv
+            else:
+                null_rows.append(row >> n_cols)
+        order = sorted(pivots)
+        pivot_bits = sum(1 << col for col in order)
+        for col in reversed(order):
+            row = pivots[col]
+            rest = row & pivot_bits ^ (1 << col)
+            while rest:
+                bit = rest & -rest
+                row ^= pivots[bit.bit_length() - 1]
+                rest ^= bit
+            pivots[col] = row
         record = (
-            {c: r & low for c, r in zip(pivots, rows)},
-            tuple(r >> n_cols for r in rows[:rank]),
-            Gf2Matrix([r >> n_cols for r in rows[rank:]], n_rows),
+            {c: pivots[c] & low for c in order},
+            tuple(pivots[c] >> n_cols for c in order),
+            Gf2Matrix(null_rows, self.n_rows),
         )
         object.__setattr__(self, "_elimination", record)
         return record

@@ -9,6 +9,10 @@ parity per row, where ``Gf2Matrix.mul_bits`` XORs columns. The bodies
 are the former methods and helpers with ``self`` turned into a ``mat``
 argument.
 
+``eliminate`` is the Gauss-Jordan loop that once filled the cached
+elimination record, column by column over [M | I]: the reference that
+the pivot-insertion record is tested against.
+
 Not collected by pytest; the differential tests import it.
 """
 
@@ -50,6 +54,47 @@ def rref(mat: Gf2Matrix) -> tuple[list[int], list[tuple[int, int]]]:
         if pivot_row == n_rows:
             break
     return rows, pivots
+
+
+def eliminate(
+    mat: Gf2Matrix,
+) -> tuple[dict[int, int], tuple[int, ...], Gf2Matrix]:
+    """The RREF of [M | I]: (pivot column -> reduced row, in row order;
+    the transforms of those rows; the left-null block).
+
+    Reduced row r is the sum of the original rows in transform r.
+    The rows after the pivot rows are zero, so their transforms span
+    the left null space; they are the rows of the left-null block.
+    The identity columns never hold a pivot, so they record the row
+    operations without steering them.
+    """
+    n_cols, n_rows = mat.n_cols, mat.n_rows
+    rows = [r | (1 << (n_cols + i)) for i, r in enumerate(mat.rows)]
+    # Row operations never fill a column that no row touches, so only
+    # the occupied columns are visited, lowest first.
+    occupied = 0
+    for r in mat.rows:
+        occupied |= r
+    pivots: list[int] = []
+    while occupied and len(pivots) < n_rows:
+        mask = occupied & -occupied
+        occupied ^= mask
+        top = len(pivots)
+        src = next((r for r in range(top, n_rows) if rows[r] & mask), -1)
+        if src < 0:
+            continue
+        piv = rows[src]
+        rows[src] = rows[top]
+        rows = [r ^ piv if r & mask else r for r in rows]
+        rows[top] = piv
+        pivots.append(mask.bit_length() - 1)
+    low = (1 << n_cols) - 1
+    rank = len(pivots)
+    return (
+        {c: r & low for c, r in zip(pivots, rows)},
+        tuple(r >> n_cols for r in rows[:rank]),
+        Gf2Matrix([r >> n_cols for r in rows[rank:]], n_rows),
+    )
 
 
 def mul_bits(mat: Gf2Matrix, x: int) -> int:

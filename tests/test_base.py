@@ -206,3 +206,27 @@ def test_heads_tails_validation():
             heads=((0,),),
             tails=((2,),),  # 2 is not in the declared neighborhood
         )
+
+
+@pytest.mark.parametrize(
+    "heads, tails", [((1,), (1,)), ((1, 1), ()), ((), (0, 0))]
+)
+def test_constructor_refuses_a_repeated_variable(heads, tails):
+    """A repeat would be a double Tanner edge that the matrix cancels."""
+    with pytest.raises(ValueError):
+        PartitionedBaseCode(
+            n=2,
+            delta=2,
+            k_types=1,
+            seed=0,
+            adjacency=(tuple(sorted(heads + tails)),),
+            heads=(heads,),
+            tails=(tails,),
+        )
+
+
+def test_sidecar_refuses_a_repeated_variable():
+    text = "fibercode-base v1\nn 2 m 1 delta 2 k_types 1 seed 0\n0; 1; 1\n"
+    with pytest.raises(ValueError):
+        parse_base_sidecar(text)
+    parse_base_sidecar(text.replace("0; 1; 1", "0; 0; 1"))

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibercode.base import PartitionedBaseCode, gen_base
 from fibercode.bundle import (
+    PlainBase,
     build_bundle,
     build_fiber_bundle_code,
     cohomology_lift,
@@ -68,6 +71,18 @@ class TestBuild:
             build_bundle(code, 4, {(2, 0): 1})  # var 2 is not in check 0
         with pytest.raises(ValueError):
             build_bundle(code, 4, {(0, 0): 4})  # twist outside the fiber
+
+    @pytest.mark.parametrize(
+        "row", [(1, 1), (1, 0), (0, 2), (-1, 0)], ids=str
+    )
+    def test_base_adjacency_validated(self, row):
+        """Each adjacency entry is a base 1-cell: strictly ascending and
+        in range, whether or not the base's constructor ran."""
+        with pytest.raises(ValueError):
+            PlainBase(n=2, m=1, adjacency=(row,))
+        with pytest.raises(ValueError):
+            build_bundle(SimpleNamespace(n=2, m=1, adjacency=(row,)), 3)
+        build_bundle(SimpleNamespace(n=2, m=1, adjacency=((0, 1),)), 3)
 
     def test_cell_layout_round_trip(self):
         bundle = build_bundle(cycle_base(3), 5)

@@ -7,6 +7,7 @@ the same paths at realistic degrees.
 """
 
 import random
+from unittest import mock
 
 import decoder_reference
 import numpy as np
@@ -76,6 +77,27 @@ def n24():
     """Certified 24-bit base over the same twist graph as ``desk``."""
     code, _ = gen_base(24, 6, 6, seed=0)
     return build_fiber_bundle_code(code, gen_twist_graph(3, 6, seed=1))
+
+
+def split_chain(bundle, a):
+    """Near check ``a``, in aligned coordinates, half of the base 1-cells
+    hold the low m_F // 2 fiber slots and as many hold the next m_F // 2.
+
+    No fiber and no slot is over half full, yet flipping one half's
+    fibers lines every occupied cell up in the same slots, so the best
+    rewrite vacates far more cells than the chain does.
+    """
+    mf, half = bundle.m_fiber, bundle.m_fiber // 2
+    bits_of_a = bundle.base_code.adjacency[a]
+    pairs = len(bits_of_a) // 2
+    cells = []
+    for i, b in enumerate(bits_of_a[: 2 * pairs]):
+        tw = bundle.twist_of.get((b, a), 0)
+        start = 0 if i < pairs else half
+        cells += [
+            bundle.h_cell(b, (j - tw) % mf) for j in range(start, start + half)
+        ]
+    return BitChain.from_support(bundle.complex.dims[1], cells)
 
 
 def syndrome_x(bundle, error):
@@ -275,24 +297,88 @@ class TestFixableTest:
         with pytest.raises(ValueError):
             amendment_chain(toy, 0, Amendment((2,), (), 0))
 
-    def test_rejects_bad_inputs(self, toy):
+    def test_rejects_bad_inputs(self, toy, desk):
         with pytest.raises(ValueError):
             fixable_test(toy, BitChain(39, 0), 0)
         with pytest.raises(ValueError):
             fixable_test(toy, BitChain(40, 0), 0, "bogus")
+        single = syndrome_x(desk, BitChain.from_support(252, [7]))
+        # Stage 1 stalls on this one, so no fixable test runs.
+        stall = syndrome_x(
+            toy, BitChain.from_support(40, [toy.v_cell(0, 1), toy.v_cell(1, 3)])
+        )
+        for ratio in (1.5, 1.2, 0, -1, float("nan")):
+            for a in range(toy.n_checks):
+                with pytest.raises(ValueError):
+                    fixable_test(toy, BitChain(40, 0), a, ratio=ratio)
+            with pytest.raises(ValueError):
+                decode_x(desk, single, ratio=ratio)
+            with pytest.raises(ValueError):
+                decode_x(toy, stall, ratio=ratio)
 
     @pytest.mark.parametrize("ratio", [0.1, 0.5, 2 / 3, 0.8, 0.85, 1, 1.0])
     def test_ratios_match_reference(self, desk, ratio):
+        """Random light chains, and one split chain per check, which only
+        the ratio condition can make fixable."""
         n_qubits = desk.complex.dims[1]
         rng = random.Random(f"ratio-{ratio}")
-        for _ in range(20):
-            e = BitChain.from_support(
+        chains = [
+            BitChain.from_support(
                 n_qubits, rng.sample(range(n_qubits), rng.randrange(1, 12))
             )
+            for _ in range(20)
+        ] + [split_chain(desk, a) for a in range(desk.n_checks)]
+        for e in chains:
             for a in range(desk.n_checks):
                 assert fixable_test(desk, e, a, ratio=ratio) == (
                     decoder_reference.fixable_test(desk, e, a, ratio=ratio)
                 )
+
+    @pytest.mark.parametrize("instance", ["desk", "n24"])
+    def test_matches_reference_on_both_paths(self, request, instance):
+        """Every check of random chains, light and dense, in both modes.
+
+        Light chains are settled by the satisfaction bound before any
+        optimizer runs; dense ones reach the optimum. Both paths must be
+        taken, and every answer must equal the reference's.
+        """
+        bundle = request.getfixturevalue(instance)
+        n_qubits = bundle.complex.dims[1]
+        tests = 0
+
+        @given(
+            st.sampled_from(["exact", "alternating"]),
+            st.one_of(
+                st.sampled_from([0.5, 0.8, 1.0]),
+                st.floats(0, 1, exclude_min=True),
+            ),
+            st.integers(0, n_qubits // 2),
+            st.randoms(use_true_random=False),
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(mode, ratio, weight, rng):
+            nonlocal tests
+            e = BitChain.from_support(
+                n_qubits, rng.sample(range(n_qubits), weight)
+            )
+            tests += bundle.n_checks
+            for a in range(bundle.n_checks):
+                assert fixable_test(bundle, e, a, mode, ratio=ratio) == (
+                    decoder_reference.fixable_test(
+                        bundle, e, a, mode, ratio=ratio
+                    )
+                )
+
+        with mock.patch.object(
+            decoders, "_exact_optimum", wraps=decoders._exact_optimum
+        ) as exact, mock.patch.object(
+            decoders,
+            "_alternating_optimum",
+            wraps=decoders._alternating_optimum,
+        ) as alternating:
+            check()
+        optimum = exact.call_count + alternating.call_count
+        assert 0 < optimum < tests
 
     def test_exact_mode_refuses_high_degree(self):
         base = PlainBase(n=17, m=1, adjacency=(tuple(range(17)),))
@@ -338,9 +424,10 @@ def test_exact_optimum_matches_reference(case):
 class TestDecodeXMatchesReference:
     """Whole ``decode_x`` runs with the reference ``fixable_test`` patched in.
 
-    Every weight-1 X error and seeded weight-2 and weight-3 errors, in
-    both modes; each ``DecodeResult`` (correction, success, steps and
-    notes) must be equal.
+    Every weight-1 X error, seeded weight-2 and weight-3 errors, and
+    fewer denser ones of weights 4 to 8, in both modes; each
+    ``DecodeResult`` (correction, success, steps and notes) must be
+    equal.
     """
 
     @pytest.mark.parametrize("mode", ["exact", "alternating"])
@@ -351,8 +438,8 @@ class TestDecodeXMatchesReference:
         rng = random.Random(f"{instance}-{mode}")
         supports = [[cell] for cell in range(n_qubits)] + [
             rng.sample(range(n_qubits), weight)
-            for weight in (2, 3)
-            for _ in range(15)
+            for weight in (2, 3, 4, 5, 6, 7, 8)
+            for _ in range(15 if weight < 4 else 3)
         ]
         syndromes = [
             syndrome_x(bundle, BitChain.from_support(n_qubits, support))

@@ -308,6 +308,38 @@ def test_elimination_matches_reference(mat):
     assert t.kernel_basis() == elimination_reference.kernel_basis(t)
 
 
+def _combine(rows, mask: int) -> int:
+    """XOR of the rows picked by the set bits of mask."""
+    acc = 0
+    for i, r in enumerate(rows):
+        if (mask >> i) & 1:
+            acc ^= r
+    return acc
+
+
+@given(any_matrices)
+@settings(max_examples=200, deadline=None)
+def test_elimination_record_matches_gauss_jordan(mat):
+    """Pivot insertion against the column-by-column Gauss-Jordan loop.
+
+    Pivots and reduced rows are the RREF's, so they must be equal. The
+    transforms and the left-null rows may be another basis when a left
+    null space exists, so each is checked for what it must be.
+    """
+    reduced, transforms, left_null = _fresh(mat)._eliminate()
+    ref_reduced, ref_transforms, _ = elimination_reference.eliminate(mat)
+    assert list(reduced.items()) == list(ref_reduced.items())
+    for r, t in zip(reduced.values(), transforms):
+        assert _combine(mat.rows, t) == r
+    rank = len(reduced)
+    if rank == mat.n_rows:
+        assert transforms == ref_transforms
+    assert left_null.shape == (mat.n_rows - rank, mat.n_rows)
+    assert elimination_reference.rank(left_null) == left_null.n_rows
+    for t in left_null.rows:
+        assert _combine(mat.rows, t) == 0
+
+
 @given(any_matrices, st.data())
 @settings(max_examples=200, deadline=None)
 def test_solve_matches_reference(mat, data):
