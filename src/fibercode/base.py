@@ -17,13 +17,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from fibercode.complexes import ChainComplex
-from fibercode.gf2 import BitChain, Gf2Matrix, gray_walk
+from fibercode.gf2 import (
+    GRAY_WALK_MAX_DIM,
+    Gf2Matrix,
+    bits_from_support,
+    gray_walk,
+)
 
 __all__ = [
+    "GEN_BASE_ATTEMPTS",
     "PartitionedBaseCode",
     "CertificateParams",
     "BaseCertificate",
@@ -35,15 +41,18 @@ __all__ = [
     "parse_base_sidecar",
 ]
 
+# Base codes gen_base samples before it returns the best failure.
+GEN_BASE_ATTEMPTS = 200
+
 
 @dataclass(frozen=True)
 class CertificateParams:
     """Thresholds a base certificate is judged against.
 
     Degree windows are fractions of delta. ``expansion_ratio`` r demands
-    |N(S)| >= r * delta * |S| for every check set S up to the exhaustive
-    size, plus optional random larger sets. ``dist_frac`` demands minimum
-    distance >= dist_frac * n.
+    |N(S)| >= r * delta * |S| for every set S of one or two checks.
+    ``dist_frac`` demands minimum distance >= dist_frac * n; a distance
+    that is not computed exactly passes only a zero ``dist_frac``.
     """
 
     check_deg_lo: float = 0.99
@@ -51,12 +60,7 @@ class CertificateParams:
     var_deg_lo: float = 0.74
     var_deg_hi: float = 0.76
     expansion_ratio: float = 0.9
-    expansion_exhaustive_max: int = 2
-    expansion_samples: int = 0
-    expansion_sample_max_size: int = 4
     dist_frac: float = 0.2
-    dist_budget: int = 26
-    require_full_rank: bool = True
 
     @classmethod
     def paper_scale(cls) -> "CertificateParams":
@@ -73,9 +77,6 @@ class CertificateParams:
             var_deg_hi=1.9,
             expansion_ratio=0.45,
             dist_frac=0.1,
-            # Blocks up to 40 bits still enumerate exactly: the walk is
-            # exponential in the kernel dimension, n / 4 on full rank.
-            dist_budget=40,
         )
 
     @classmethod
@@ -102,8 +103,8 @@ class BaseCertificate:
     full_rank: bool
     expansion_ok: bool
     expansion_worst_ratio: float
-    min_dist_estimate: int
-    min_dist_method: str  # "exact" or "search-upper-bound"
+    min_dist_estimate: int | None  # None when not computed
+    min_dist_method: str  # "exact" or "unknown"
     min_dist_ok: bool
     params: CertificateParams
     attempts: int = 1
@@ -220,65 +221,33 @@ def _sample_code(
     )
 
 
-def min_distance(
-    mat: Gf2Matrix, budget: int = 26, search_seed: int = 0
-) -> tuple[int, str]:
-    """Minimum nonzero codeword weight of ker(mat).
+def min_distance(mat: Gf2Matrix) -> tuple[int | None, str]:
+    """Minimum nonzero codeword weight of ker(mat), and how it was found.
 
-    Exact when the block length fits the budget (and the kernel dimension
-    is enumerable); otherwise a randomized search upper bound, labeled as
-    such. Returns (estimate, method). A code with trivial kernel has no
+    Exact, by a Gray walk over the kernel, when the kernel dimension is at
+    most GRAY_WALK_MAX_DIM; otherwise (None, "unknown"), since a search
+    would give only an upper bound. A code with trivial kernel has no
     codewords; by convention that reports (n + 1, "exact").
     """
     kernel = mat.kernel_basis()
     if not kernel:
         return mat.n_cols + 1, "exact"
-    kdim = len(kernel)
-    if mat.n_cols <= budget and kdim <= 22:
-        # The basis is independent, so every word after the first is nonzero.
-        words = gray_walk(0, [v.bits for v in kernel])
-        next(words)
-        return min(map(int.bit_count, words)), "exact"
-    rng = random.Random(search_seed)
-    best = min(v.weight() for v in kernel)
-    for a, b in itertools.combinations(range(kdim), 2):
-        w = (kernel[a].bits ^ kernel[b].bits).bit_count()
-        best = min(best, w)
-    for _ in range(2000):
-        word = 0
-        for v in kernel:
-            if rng.random() < 0.5:
-                word ^= v.bits
-        w = word.bit_count()
-        if 0 < w < best:
-            best = w
-    return best, "search-upper-bound"
+    if len(kernel) > GRAY_WALK_MAX_DIM:
+        return None, "unknown"
+    # The basis is independent, so every word after the first is nonzero.
+    words = gray_walk(0, [v.bits for v in kernel])
+    next(words)
+    return min(map(int.bit_count, words)), "exact"
 
 
 def _expansion(
-    code: PartitionedBaseCode, params: CertificateParams, seed: int
+    code: PartitionedBaseCode, params: CertificateParams
 ) -> tuple[bool, float]:
-    """Worst |N(S)| / (delta |S|) over exhaustive small sets plus samples."""
-    masks = [0] * code.m
-    for a, neigh in enumerate(code.adjacency):
-        bits = 0
-        for j in neigh:
-            bits |= 1 << j
-        masks[a] = bits
+    """Worst |N(S)| / (delta |S|) over every set of at most two checks."""
+    masks = [bits_from_support(neigh) for neigh in code.adjacency]
     worst = float("inf")
-    for size in range(1, min(params.expansion_exhaustive_max, code.m) + 1):
+    for size in range(1, min(2, code.m) + 1):
         for combo in itertools.combinations(range(code.m), size):
-            union = 0
-            for a in combo:
-                union |= masks[a]
-            ratio = union.bit_count() / (code.delta * size)
-            worst = min(worst, ratio)
-    if params.expansion_samples:
-        rng = random.Random(seed)
-        max_size = min(params.expansion_sample_max_size, code.m)
-        for _ in range(params.expansion_samples):
-            size = rng.randint(params.expansion_exhaustive_max + 1, max_size)
-            combo = rng.sample(range(code.m), size)
             union = 0
             for a in combo:
                 union |= masks[a]
@@ -309,15 +278,11 @@ def certify_base(
     )
     mat = code.matrix()
     full_rank = mat.rank() == code.m
-    expansion_ok, worst_ratio = _expansion(code, params, code.seed)
-    dist, method = min_distance(mat, params.dist_budget, code.seed)
-    dist_ok = dist >= params.dist_frac * code.n
-    passed = (
-        degree_ok
-        and (full_rank or not params.require_full_rank)
-        and expansion_ok
-        and dist_ok
-    )
+    expansion_ok, worst_ratio = _expansion(code, params)
+    dist, method = min_distance(mat)
+    # An unknown distance is bounded below by nothing more than 0.
+    dist_ok = (0 if dist is None else dist) >= params.dist_frac * code.n
+    passed = degree_ok and full_rank and expansion_ok and dist_ok
     return BaseCertificate(
         passed=passed,
         degree_ok=degree_ok,
@@ -341,9 +306,8 @@ def gen_base(
     k_types: int,
     seed: int,
     params: CertificateParams | None = None,
-    max_attempts: int = 200,
 ) -> tuple[PartitionedBaseCode, BaseCertificate]:
-    """Sample base codes until one certifies, up to the attempt cap.
+    """Sample base codes until one certifies, up to GEN_BASE_ATTEMPTS.
 
     Attempt t uses seed + t, so the whole run is reproducible. When the cap
     is exhausted, the best-scoring (code, certificate) pair seen is returned
@@ -359,7 +323,7 @@ def gen_base(
     if params is None:
         params = CertificateParams.desk_scale()
     best: tuple[PartitionedBaseCode, BaseCertificate] | None = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, GEN_BASE_ATTEMPTS + 1):
         code = _sample_code(n, delta, k_types, seed + attempt - 1)
         cert = replace(certify_base(code, params), attempts=attempt)
         if cert.passed:
@@ -367,7 +331,7 @@ def gen_base(
         if best is None or cert.score() > best[1].score():
             best = (code, cert)
     assert best is not None
-    return best[0], replace(best[1], attempts=max_attempts)
+    return best[0], replace(best[1], attempts=GEN_BASE_ATTEMPTS)
 
 
 def counique_neighbors(

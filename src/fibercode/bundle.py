@@ -211,28 +211,6 @@ class Bundle:
         rest = index - cut
         return "v", rest // self.m_fiber, rest % self.m_fiber
 
-    def horizontal_part(self, chain: BitChain) -> BitChain:
-        mask = (1 << self.n_vars * self.m_fiber) - 1
-        return BitChain(chain.length, chain.bits & mask)
-
-    def vertical_part(self, chain: BitChain) -> BitChain:
-        mask = (1 << self.n_vars * self.m_fiber) - 1
-        return BitChain(chain.length, chain.bits & ~mask)
-
-    def horizontal_shadow(self, chain: BitChain) -> set[int]:
-        """Base variables whose fiber carries a horizontal cell of chain."""
-        return {
-            i // self.m_fiber
-            for i in self.horizontal_part(chain).iter_support()
-        }
-
-    def vertical_shadow(self, chain: BitChain) -> set[int]:
-        cut = self.n_vars * self.m_fiber
-        return {
-            (i - cut) // self.m_fiber
-            for i in self.vertical_part(chain).iter_support()
-        }
-
     def css_code(self) -> CssCode:
         return css_from_complex(self.complex, 1)
 

@@ -85,6 +85,7 @@ from fibercode.homotopy import (
     weight_reduce_classical,
 )
 from fibercode.twists import (
+    MAX_ELL,
     ExpanderCertificationError,
     TwistGraph,
     certify_expander,
@@ -209,8 +210,8 @@ class ExperimentConfig:
                 )
             if not 2 <= self.delta <= self.n:
                 raise ValueError("density parameter must be in [2, n]")
-            if self.ell < 2:
-                raise ValueError("fiber parameter must be at least 2")
+            if not 2 <= self.ell <= MAX_ELL:
+                raise ValueError(f"fiber parameter must be in [2, {MAX_ELL}]")
             if not 0 < self.kappa_target < 1:
                 raise ValueError("expansion target must be in (0, 1)")
             if self.mc_word_weight > self.n * self.ell:

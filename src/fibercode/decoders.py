@@ -41,7 +41,13 @@ import numpy as np
 
 from fibercode.bundle import Bundle
 from fibercode.complexes import ChainComplex
-from fibercode.gf2 import BitChain, Gf2Matrix, bits_from_support, gray_walk
+from fibercode.gf2 import (
+    GRAY_WALK_MAX_DIM,
+    BitChain,
+    Gf2Matrix,
+    bits_from_support,
+    gray_walk,
+)
 from fibercode.homotopy import HomotopyEquivalence, transpose_equivalence
 
 __all__ = [
@@ -890,18 +896,13 @@ def decode_via_homotopy(
 # -- oracles -------------------------------------------------------------------
 
 
-def decode_brute_force(
-    matrix: Gf2Matrix,
-    syndrome: BitChain,
-    *,
-    budget: int = 22,
-) -> DecodeResult:
+def decode_brute_force(matrix: Gf2Matrix, syndrome: BitChain) -> DecodeResult:
     """Exhaustive minimum-weight decoding against an arbitrary matrix.
 
     Finds a minimum-weight chain whose image under ``matrix`` is the
     syndrome by walking the solution coset in Gray order (the first
     minimum encountered is kept).  Usable as an exact inner decoder on
-    instances whose kernel dimension fits the budget.
+    instances whose kernel dimension is at most ``GRAY_WALK_MAX_DIM``.
     """
     particular = matrix.solve(syndrome)
     if particular is None:
@@ -912,7 +913,7 @@ def decode_brute_force(
             {"stage": "unsolvable"},
         )
     kernel = matrix.kernel_basis()
-    if len(kernel) > budget:
+    if len(kernel) > GRAY_WALK_MAX_DIM:
         raise ValueError("kernel dimension exceeds the exhaustive budget")
     best = min(
         gray_walk(particular.bits, [v.bits for v in kernel]),

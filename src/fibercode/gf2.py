@@ -22,6 +22,7 @@ __all__ = [
     "parity",
     "bits_from_support",
     "gray_walk",
+    "GRAY_WALK_MAX_DIM",
     "to_alist",
     "from_alist",
 ]
@@ -38,6 +39,10 @@ def bits_from_support(support: Iterable[int]) -> int:
     for i in support:
         bits |= 1 << i
     return bits
+
+
+# The largest basis that exact searches walk: 2^22 words take seconds.
+GRAY_WALK_MAX_DIM = 22
 
 
 def gray_walk(start: int, basis: Sequence[int]) -> Iterator[int]:
@@ -214,10 +219,6 @@ class Gf2Matrix:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def density(self) -> int:
-        """Total number of nonzero entries."""
-        return sum(r.bit_count() for r in self.rows)
 
     def max_row_weight(self) -> int:
         return max((r.bit_count() for r in self.rows), default=0)

@@ -27,6 +27,8 @@ from fibercode.base import PartitionedBaseCode
 from fibercode.gf2 import BitChain, Gf2Matrix
 
 __all__ = [
+    "MAX_ELL",
+    "CERTIFY_EXPANDER_ATTEMPTS",
     "TwistGraph",
     "TwistAssignment",
     "ExpanderCertificationError",
@@ -41,6 +43,15 @@ __all__ = [
     "serialize_twist_graph",
     "parse_twist_graph",
 ]
+
+
+# The most fiber classes a twist graph may have. Kappa costs O(ell k) and
+# the dense cross-check O(ell^3), 0.12 s at this ell; twist graphs in use
+# have ell below 10, and a huge ell read from a file is refused at once.
+MAX_ELL = 1024
+
+# Twist graphs certify_expander samples before giving up.
+CERTIFY_EXPANDER_ATTEMPTS = 100
 
 
 def kappa_closed_form(ell: int, shifts: tuple[int, ...]) -> float:
@@ -76,8 +87,8 @@ class TwistGraph:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
-            raise ValueError("need at least two fiber classes")
+        if not 2 <= self.ell <= MAX_ELL:
+            raise ValueError(f"need 2 to {MAX_ELL} fiber classes")
         if not self.shifts:
             raise ValueError("need at least one type")
         for s in self.shifts:
@@ -125,16 +136,15 @@ def certify_expander(
     k_types: int,
     kappa_target: float = 0.5,
     seed: int = 0,
-    max_attempts: int = 100,
 ) -> TwistGraph:
     """Sample twist graphs until one has kappa at most the target.
 
     Attempt t uses seed + t; raises ExpanderCertificationError with the
-    best graph seen when the cap is exhausted.
+    best graph seen after ``CERTIFY_EXPANDER_ATTEMPTS`` attempts.
     """
     best: TwistGraph | None = None
     best_kappa = float("inf")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, CERTIFY_EXPANDER_ATTEMPTS + 1):
         graph = gen_twist_graph(ell, k_types, seed + attempt - 1)
         kappa = graph.kappa()
         if kappa <= kappa_target:
@@ -142,7 +152,7 @@ def certify_expander(
         if kappa < best_kappa:
             best, best_kappa = graph, kappa
     assert best is not None
-    raise ExpanderCertificationError(best, best_kappa, max_attempts)
+    raise ExpanderCertificationError(best, best_kappa, CERTIFY_EXPANDER_ATTEMPTS)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibercode.base import (
+    GEN_BASE_ATTEMPTS,
     CertificateParams,
     PartitionedBaseCode,
     certify_base,
@@ -89,11 +90,17 @@ def test_certificate_echoes_thresholds():
 def test_paper_scale_thresholds_fail_small_blocks():
     # The asymptotic windows are unattainable at n = 16; the generator must
     # exhaust its attempts and say so rather than pretend.
-    code, cert = gen_base(
-        16, 6, 4, seed=0, params=CertificateParams.paper_scale(), max_attempts=10
-    )
+    code, cert = gen_base(16, 6, 4, seed=0, params=CertificateParams.paper_scale())
     assert not cert.passed
-    assert cert.attempts == 10
+    assert cert.attempts == GEN_BASE_ATTEMPTS == 200
+
+
+@pytest.mark.parametrize("n,dist", [(48, 10), (64, 17)])
+def test_gen_base_walks_past_the_paper_block_length(n, dist):
+    # Block lengths past any small budget, kernels within the walk: a
+    # random search reports 12 and 18 here, upper bounds that prove nothing.
+    _, cert = gen_base(n, 8, 4, seed=1, params=CertificateParams.desk_scale())
+    assert (cert.min_dist_estimate, cert.min_dist_method) == (dist, "exact")
 
 
 def test_min_distance_known_matrix():
@@ -103,14 +110,29 @@ def test_min_distance_known_matrix():
     assert min_distance(eye) == (4, "exact")  # no codewords at all
 
 
-def test_min_distance_upper_bound_path():
-    # Blow past the budget: the estimate must be labeled, not trusted.
-    mat = Gf2Matrix.from_col_support(
-        [(i % 3,) for i in range(30)], 3
+def test_min_distance_unknown_past_the_walk_limit():
+    # Three checks on 30 bits, bit i in check i % 3: the kernel has
+    # dimension 27, past the walk, so no distance is claimed. The true
+    # distance, 2, is below any threshold an upper bound could pass.
+    adjacency = tuple(tuple(range(a, 30, 3)) for a in range(3))
+    code = PartitionedBaseCode(
+        n=30,
+        delta=10,
+        k_types=3,
+        seed=0,
+        adjacency=adjacency,
+        heads=adjacency,
+        tails=((), (), ()),
     )
-    dist, method = min_distance(mat, budget=10)
-    assert method == "search-upper-bound"
-    assert dist == 2  # two columns sharing a row
+    assert min_distance(code.matrix()) == (None, "unknown")
+    cert = certify_base(code, CertificateParams.desk_scale())
+    assert cert.min_dist_estimate is None
+    assert cert.min_dist_method == "unknown"
+    assert not cert.min_dist_ok
+    assert not cert.passed
+    structural = certify_base(code, CertificateParams.structural_only())
+    assert structural.min_dist_ok
+    assert structural.passed
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -143,6 +165,23 @@ def test_expansion_reflected_in_certificate():
     # Worst ratio over singletons and pairs: checks have degree 2 and
     # delta = 2, overlapping pairs give |N(S)| = 3 over delta * 2 = 4.
     assert cert.expansion_worst_ratio == pytest.approx(0.75)
+
+
+def test_rank_deficient_base_fails_every_scale():
+    # Two equal checks: rank 1 of 2. Full rank is required at every scale.
+    code = PartitionedBaseCode(
+        n=4,
+        delta=2,
+        k_types=1,
+        seed=0,
+        adjacency=((0, 1), (0, 1)),
+        heads=((0,), (0,)),
+        tails=((1,), (1,)),
+    )
+    cert = certify_base(code, CertificateParams.structural_only())
+    assert not cert.full_rank
+    assert cert.degree_ok and cert.expansion_ok and cert.min_dist_ok
+    assert not cert.passed
 
 
 def test_as_complex():

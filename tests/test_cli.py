@@ -126,6 +126,7 @@ class TestConfig:
             {"k_types": 5},
             {"delta": 1},
             {"ell": 1},
+            {"ell": 1025},
             {"kappa_target": 1.5},
             {"certificate_scale": "cosmic"},
             {"decoder_mode": "psychic"},

@@ -54,7 +54,7 @@ def _replace_token(text: str, span: tuple[int, int], new: str) -> str:
 
 
 @st.composite
-def near(draw, text: str, big: bool = True):
+def near(draw, text: str):
     """text itself, text with one token replaced or one character
     inserted or deleted, or free text."""
     spans = _token_spans(text)
@@ -66,7 +66,7 @@ def near(draw, text: str, big: bool = True):
     if kind == "token":
         span = draw(st.sampled_from(spans))
         old = text[span[0] : span[1]]
-        values = [text[a:b] for a, b in spans] + JUNK + ([BIG] if big else [])
+        values = [text[a:b] for a, b in spans] + JUNK + [BIG]
         new = draw(
             st.one_of(
                 st.sampled_from(values),
@@ -228,9 +228,7 @@ def test_parse_base_sidecar_accepts_only_what_export_writes(data):
 def test_parse_twist_graph_accepts_only_what_serialize_writes(data):
     graph = data.draw(twist_graphs())
     assert parse_twist_graph(serialize_twist_graph(graph)) == graph
-    # No BIG here: kappa costs O(ell k), so a valid graph on a huge ell is
-    # slow to write, and the loader writes it to compare.
-    text = data.draw(near(serialize_twist_graph(graph), big=False))
+    text = data.draw(near(serialize_twist_graph(graph)))
     _check(
         parse_twist_graph,
         serialize_twist_graph,
@@ -402,8 +400,7 @@ def test_desk_artifact_mutations_raise_value_error_or_round_trip(desk_artifacts,
                 rng.choice(JUNK),
                 f"{old} {old}",
                 old + rng.choice(["\n", "\r", " ", "\t"]),
-                # A valid graph on a huge ell is slow to write; see above.
-                BIG if name != "twist_graph.txt" else "1000",
+                BIG,
             ]
         )
         mutated = _replace_token(text, span, new)

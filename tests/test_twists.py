@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fibercode.base import PartitionedBaseCode
 from fibercode.gf2 import BitChain
 from fibercode.twists import (
+    CERTIFY_EXPANDER_ATTEMPTS,
+    MAX_ELL,
     ExpanderCertificationError,
     TwistGraph,
     assign_twists,
@@ -82,6 +84,13 @@ class TestGeneration:
         with pytest.raises(ValueError):  # kappa needs at least one type
             TwistGraph(ell=5, shifts=())
 
+    def test_ell_bounded(self):
+        assert TwistGraph(ell=MAX_ELL, shifts=(1,)).ell == MAX_ELL == 1024
+        with pytest.raises(ValueError, match="2 to 1024"):
+            TwistGraph(ell=MAX_ELL + 1, shifts=(1,))
+        with pytest.raises(ValueError, match="2 to 1024"):
+            gen_twist_graph(10**12, 2, seed=0)
+
     def test_certify_three_classes_first_try(self):
         graph = certify_expander(3, 5, kappa_target=0.5, seed=0)
         assert graph.kappa() == pytest.approx(0.5)
@@ -89,8 +98,8 @@ class TestGeneration:
     def test_certify_exhaustion_reports_best(self):
         # Two fiber classes pin kappa at 1, so any target below that fails.
         with pytest.raises(ExpanderCertificationError) as info:
-            certify_expander(2, 3, kappa_target=0.9, seed=0, max_attempts=5)
-        assert info.value.attempts == 5
+            certify_expander(2, 3, kappa_target=0.9, seed=0)
+        assert info.value.attempts == CERTIFY_EXPANDER_ATTEMPTS == 100
         assert info.value.best_kappa == pytest.approx(1.0)
         assert info.value.best.ell == 2
 
