@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from fibercode.complexes import ChainComplex
 from fibercode.gf2 import (
@@ -35,7 +35,6 @@ __all__ = [
     "BaseCertificate",
     "gen_base",
     "certify_base",
-    "counique_neighbors",
     "min_distance",
     "export_base_sidecar",
     "parse_base_sidecar",
@@ -104,7 +103,7 @@ class BaseCertificate:
     expansion_ok: bool
     expansion_worst_ratio: float
     min_dist_estimate: int | None  # None when not computed
-    min_dist_method: str  # "exact" or "unknown"
+    min_dist_method: str  # "exact", "unknown" or "skipped"
     min_dist_ok: bool
     params: CertificateParams
     attempts: int = 1
@@ -154,6 +153,8 @@ class PartitionedBaseCode:
     tails: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.delta < 1:
+            raise ValueError("block length and density must be positive")
         m = len(self.adjacency)
         if len(self.heads) != m or len(self.tails) != m:
             raise ValueError("heads/tails must cover every check")
@@ -174,10 +175,6 @@ class PartitionedBaseCode:
 
     def type_of(self, check: int) -> int:
         return check // (self.m // self.k_types)
-
-    def checks_of_type(self, tau: int) -> range:
-        block = self.m // self.k_types
-        return range(tau * block, (tau + 1) * block)
 
     def matrix(self) -> Gf2Matrix:
         return Gf2Matrix.from_row_support(self.adjacency, self.n)
@@ -279,9 +276,13 @@ def certify_base(
     mat = code.matrix()
     full_rank = mat.rank() == code.m
     expansion_ok, worst_ratio = _expansion(code, params)
-    dist, method = min_distance(mat)
-    # An unknown distance is bounded below by nothing more than 0.
-    dist_ok = (0 if dist is None else dist) >= params.dist_frac * code.n
+    # The kernel walk is the one costly check, so it runs only when the
+    # cheap ones pass; a skipped or unknown distance never passes.
+    dist, method, dist_ok = None, "skipped", False
+    if degree_ok and full_rank and expansion_ok:
+        dist, method = min_distance(mat)
+        # An unknown distance is bounded below by nothing more than 0.
+        dist_ok = (0 if dist is None else dist) >= params.dist_frac * code.n
     passed = degree_ok and full_rank and expansion_ok and dist_ok
     return BaseCertificate(
         passed=passed,
@@ -332,32 +333,6 @@ def gen_base(
             best = (code, cert)
     assert best is not None
     return best[0], replace(best[1], attempts=GEN_BASE_ATTEMPTS)
-
-
-def counique_neighbors(
-    code: PartitionedBaseCode, checks: Iterable[int]
-) -> tuple[set[int], int | None]:
-    """Variables seen exactly once by the set, and the owning check.
-
-    The owner is the lowest-index check for which strictly more than 80%
-    of its neighborhood is counique; None when no check qualifies.
-    """
-    checks = sorted(set(checks))
-    counts: dict[int, int] = {}
-    for a in checks:
-        for j in code.adjacency[a]:
-            counts[j] = counts.get(j, 0) + 1
-    counique = {j for j, c in counts.items() if c == 1}
-    owner = None
-    for a in checks:
-        neigh = code.adjacency[a]
-        if not neigh:
-            continue
-        mine = sum(1 for j in neigh if j in counique)
-        if mine > 0.8 * len(neigh):
-            owner = a
-            break
-    return counique, owner
 
 
 # -- sidecar serialization ----------------------------------------------------

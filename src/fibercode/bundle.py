@@ -18,11 +18,9 @@ u + twist(b, a). Boundaries:
     d2 q(b, i) = h(b, i) + h(b, i + 1)
                  + sum_{a in checks(b)} v(a, i + twist(b, a))
 
-The module also provides the projection onto the base, integration along
-the fiber, (co)homology lifts, a report on when the projection induces a
-degree-1 (co)homology isomorphism, gauge changes of the twists, and the
-sliding normalization that moves every horizontal cell of a cycle to a
-fiber position divisible by the twist modulus.
+The module also provides the projection onto the base, (co)homology
+lifts, and a report on when the projection induces a degree-1
+(co)homology isomorphism.
 """
 
 from __future__ import annotations
@@ -41,20 +39,16 @@ __all__ = [
     "Bundle",
     "H1IsoReport",
     "PlainBase",
-    "SlideResult",
     "cycle_base",
     "build_bundle",
     "build_fiber_bundle_code",
     "fiber_boundary",
     "projection_maps",
-    "fiber_integration_maps",
     "cohomology_lift",
     "homology_lift",
     "cohomology_lift_basis",
     "homology_lift_basis",
     "verify_h1_iso",
-    "gauge_transform",
-    "slide_normalize",
 ]
 
 
@@ -203,14 +197,6 @@ class Bundle:
     def c2_cell(self, var: int, pos: int) -> int:
         return var * self.m_fiber + pos % self.m_fiber
 
-    def cell1_info(self, index: int) -> tuple[str, int, int]:
-        """Kind tag plus (base cell, fiber position) of a 1-cell index."""
-        cut = self.n_vars * self.m_fiber
-        if index < cut:
-            return "h", index // self.m_fiber, index % self.m_fiber
-        rest = index - cut
-        return "v", rest // self.m_fiber, rest % self.m_fiber
-
     def css_code(self) -> CssCode:
         return css_from_complex(self.complex, 1)
 
@@ -304,7 +290,7 @@ def build_fiber_bundle_code(
     return build_bundle(code, graph.ell**2, assign_twists(code, graph))
 
 
-# -- projection and integration ------------------------------------------------
+# -- projection ----------------------------------------------------------------
 
 
 def projection_maps(bundle: Bundle) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -321,22 +307,6 @@ def projection_maps(bundle: Bundle) -> tuple[Gf2Matrix, Gf2Matrix]:
     ] + [[] for _ in range(bundle.n_checks * mf)]
     p1 = Gf2Matrix.from_col_support(cols1, bundle.n_vars)
     return p0, p1
-
-
-def fiber_integration_maps(bundle: Bundle) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """(K1, K2): keep fiber-degree-1 cells, remembering the base cell.
-
-    K1 sends v(a, i) to a and kills horizontal cells; K2 sends q(b, i)
-    to b. They satisfy K1 d2 = d_base K2, a chain map dropping the degree.
-    """
-    mf = bundle.m_fiber
-    cols1: list[list[int]] = [[] for _ in range(bundle.n_vars * mf)] + [
-        [i // mf] for i in range(bundle.n_checks * mf)
-    ]
-    k1 = Gf2Matrix.from_col_support(cols1, bundle.n_checks)
-    cols2 = [[i // mf] for i in range(bundle.n_vars * mf)]
-    k2 = Gf2Matrix.from_col_support(cols2, bundle.n_vars)
-    return k1, k2
 
 
 # -- lifts ---------------------------------------------------------------------
@@ -484,185 +454,4 @@ def verify_h1_iso(bundle: Bundle) -> H1IsoReport:
         b1_base=b1_base,
         b1_bundle=b1_bundle,
         projection_rank=projection_rank,
-    )
-
-
-# -- gauge changes -------------------------------------------------------------
-
-
-def gauge_transform(
-    bundle: Bundle,
-    rho_vars: list[int],
-    rho_checks: list[int],
-) -> tuple[Bundle, tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]]:
-    """Rotate each fiber independently: twist'(b, a) = twist + rho_a - rho_b.
-
-    Returns the regauged bundle and the cell permutations (U0, U1, U2)
-    intertwining the boundaries: U d = d' U. Horizontal and degree-2
-    cells rotate by rho of their variable, the rest by rho of their check.
-    """
-    if len(rho_vars) != bundle.n_vars or len(rho_checks) != bundle.n_checks:
-        raise ValueError("one rotation per base cell")
-    mf = bundle.m_fiber
-    # Every Tanner edge rotates, including those with implicit zero twist.
-    new_twists = {
-        (b, a): (bundle.twist_of.get((b, a), 0) + rho_checks[a] - rho_vars[b]) % mf
-        for a, row in enumerate(bundle.base_code.adjacency)
-        for b in row
-    }
-    new_ell = bundle.ell
-    if new_ell is not None and any(
-        t % new_ell for t in new_twists.values()
-    ):
-        new_ell = None
-    regauged = build_bundle(bundle.base_code, mf, new_twists)
-    regauged = Bundle(
-        base_code=regauged.base_code,
-        m_fiber=mf,
-        twists=regauged.twists,
-        complex=regauged.complex,
-        ell=new_ell,
-    )
-
-    cols0 = [
-        [bundle.c0_cell(a, u + rho_checks[a])]
-        for a in range(bundle.n_checks)
-        for u in range(mf)
-    ]
-    u0 = Gf2Matrix.from_col_support(cols0, bundle.n_checks * mf)
-    cols1 = [
-        [bundle.h_cell(b, u + rho_vars[b])]
-        for b in range(bundle.n_vars)
-        for u in range(mf)
-    ] + [
-        [bundle.v_cell(a, i + rho_checks[a])]
-        for a in range(bundle.n_checks)
-        for i in range(mf)
-    ]
-    u1 = Gf2Matrix.from_col_support(cols1, (bundle.n_vars + bundle.n_checks) * mf)
-    cols2 = [
-        [bundle.c2_cell(b, i + rho_vars[b])]
-        for b in range(bundle.n_vars)
-        for i in range(mf)
-    ]
-    u2 = Gf2Matrix.from_col_support(cols2, bundle.n_vars * mf)
-    return regauged, (u0, u1, u2)
-
-
-# -- sliding -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlideResult:
-    chain: BitChain
-    two_chain: BitChain
-    steps: int
-
-
-def _boundary_two_cell(bundle: Bundle, b: int, i: int) -> int:
-    bits = (1 << bundle.h_cell(b, i)) | (1 << bundle.h_cell(b, i + 1))
-    for a in bundle.var_checks[b]:
-        bits |= 1 << bundle.v_cell(a, i + bundle.twist_of.get((b, a), 0))
-    return bits
-
-
-def slide_normalize(
-    bundle: Bundle,
-    cycle: BitChain,
-    modulus: int | None = None,
-    max_steps: int | None = None,
-) -> SlideResult:
-    """Move every horizontal cell of a 1-cycle to fiber position 0 mod ell.
-
-    Clusters of horizontal cells with overlapping boundaries slide one
-    fiber step at a time, toward the side where more of the attached
-    vertical strings pull (downward on a tie), each step recorded as a
-    2-chain so the result stays homologous. The weight never increases.
-    Twists must be multiples of the modulus, which makes linked cells
-    share a residue; that invariant is asserted.
-    """
-    modulus = modulus if modulus is not None else bundle.ell
-    if modulus is None:
-        raise ValueError("no twist modulus to normalize against")
-    if any(t % modulus for _, t in bundle.twists):
-        raise ValueError("twists are not multiples of the modulus")
-    if not bundle.complex.is_cycle(1, cycle):
-        raise ValueError("can only slide a closed chain")
-
-    mf = bundle.m_fiber
-    r = cycle.bits
-    acc = 0
-    steps = 0
-    cap = (
-        max_steps
-        if max_steps is not None
-        else cycle.weight() * (mf + 1) + 16
-    )
-    n_h = bundle.n_vars * mf
-
-    while True:
-        horiz = [
-            (i // mf, i % mf)
-            for i in BitChain(n_h, r & ((1 << n_h) - 1)).iter_support()
-        ]
-        offending = [(b, p) for b, p in horiz if p % modulus]
-        if not offending:
-            break
-        if steps >= cap:
-            raise RuntimeError(f"sliding did not settle in {cap} steps")
-
-        # Cluster the horizontal cells through shared boundary 0-cells.
-        owner: dict[tuple[int, int], int] = {}
-        parent = list(range(len(horiz)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx, (b, p) in enumerate(horiz):
-            for a in bundle.var_checks[b]:
-                key = (a, (p + bundle.twist_of.get((b, a), 0)) % mf)
-                if key in owner:
-                    ra, rb = find(owner[key]), find(idx)
-                    parent[ra] = rb
-                else:
-                    owner[key] = idx
-        first = min(
-            idx for idx, cell in enumerate(horiz) if cell in offending
-        )
-        root = find(first)
-        cluster = [cell for idx, cell in enumerate(horiz) if find(idx) == root]
-        residues = {p % modulus for _, p in cluster}
-        assert len(residues) == 1, "linked cells must share a fiber residue"
-
-        # Boundary mismatches of the cluster and which way they pull.
-        defects: set[tuple[int, int]] = set()
-        for b, p in cluster:
-            for a in bundle.var_checks[b]:
-                key = (a, (p + bundle.twist_of.get((b, a), 0)) % mf)
-                defects.symmetric_difference_update({key})
-        pull = 0
-        for a, i in defects:
-            up = r >> bundle.v_cell(a, i) & 1
-            down = r >> bundle.v_cell(a, i - 1) & 1
-            assert up != down, "each mismatch is held by exactly one string"
-            pull += -1 if up else 1
-        direction = 1 if pull < 0 else -1
-
-        two_chain = 0
-        for b, p in cluster:
-            two_chain |= 1 << bundle.c2_cell(
-                b, p if direction == 1 else p - 1
-            )
-        for j in BitChain(bundle.n_vars * mf, two_chain).iter_support():
-            r ^= _boundary_two_cell(bundle, j // mf, j % mf)
-        acc ^= two_chain
-        steps += 1
-
-    return SlideResult(
-        chain=BitChain(cycle.length, r),
-        two_chain=BitChain(bundle.complex.dims[2], acc),
-        steps=steps,
     )

@@ -41,7 +41,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -68,6 +67,7 @@ from fibercode.complexes import (
     transpose_complex,
 )
 from fibercode.decoders import (
+    EXACT_MAX_DEGREE,
     DecodeSuccess,
     decode_brute_force,
     decode_erasure_x,
@@ -255,8 +255,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.master_seed < 0:
             raise ValueError("master seed must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
+        # Trials run in one thread; the field stays only because every
+        # report echoes the config.
+        if self.threads != 1:
+            raise ValueError("threads must be 1")
 
     def as_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -285,7 +287,6 @@ def load_config(
     *,
     seed: int | None = None,
     out: str | None = None,
-    threads: int | None = None,
 ) -> ExperimentConfig:
     """Resolve preset defaults, file values, and flag overrides, in order."""
     data: dict[str, Any] = {}
@@ -314,8 +315,6 @@ def load_config(
         merged["master_seed"] = seed
     if out is not None:
         merged["out_dir"] = out
-    if threads is not None:
-        merged["threads"] = threads
     config = ExperimentConfig(**merged)
     config.validate()
     return config
@@ -768,12 +767,14 @@ def cmd_bench_decoders(config: ExperimentConfig) -> int:
         if max(getattr(config, name)) > n_qubits:
             print(f"bad config: {name} exceed the {n_qubits} qubits")
             return EXIT_HARD
-    jobs = _bench_jobs(built)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda j: _run_bench_trial(built, j), jobs))
-    else:
-        rows = [_run_bench_trial(built, job) for job in jobs]
+    max_deg = max(map(len, built.bundle.base_code.adjacency))
+    if config.decoder_mode == "exact" and max_deg > EXACT_MAX_DEGREE:
+        print(
+            f"bad config: decoder_mode exact needs base check degrees <= "
+            f"{EXACT_MAX_DEGREE}, the base has {max_deg}"
+        )
+        return EXIT_HARD
+    rows = [_run_bench_trial(built, job) for job in _bench_jobs(built)]
     rows.sort(key=lambda r: (r["error_model"], r["point"], r["trial"]))
     _write_csv(out / "bench_trials.csv", _TRIAL_COLUMNS, rows)
 
@@ -813,11 +814,8 @@ def cmd_bench_decoders(config: ExperimentConfig) -> int:
     )
     erasure_rows = [r for r in rows if r["error_model"] == "erasure"]
     if erasure_rows:
-        delta = max(
-            len(neigh) for neigh in built.bundle.base_code.adjacency
-        )
         c_observed = max(
-            r["steps"] / (r["point"] * delta) for r in erasure_rows
+            r["steps"] / (r["point"] * max_deg) for r in erasure_rows
         )
         print(f"erasure operations <= c*|D|*degree with c={c_observed:.3f}")
     for row in summary_rows:
@@ -1225,15 +1223,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--out", metavar="DIR", help="override the output directory"
     )
-    parser.add_argument(
-        "--threads", type=int, metavar="N", help="trial-level parallelism"
-    )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     args = parser.parse_args(argv)
     try:
-        config = load_config(
-            args.config, seed=args.seed, out=args.out, threads=args.threads
-        )
+        config = load_config(args.config, seed=args.seed, out=args.out)
     except (ValueError, OSError) as exc:
         print(f"bad config: {exc}")
         return EXIT_HARD

@@ -212,13 +212,6 @@ class CssCode:
         if not (self.h_x @ self.h_z.transpose()).is_zero():
             raise ValueError("h_x h_z^T is nonzero")
 
-    def syndrome_of_x_error(self, e: BitChain) -> BitChain:
-        """Z-check measurements triggered by an X error pattern."""
-        return self.h_z.mul_chain(e)
-
-    def syndrome_of_z_error(self, e: BitChain) -> BitChain:
-        return self.h_x.mul_chain(e)
-
     def max_stabilizer_weight(self) -> int:
         return max(self.h_x.max_row_weight(), self.h_z.max_row_weight())
 

@@ -51,6 +51,7 @@ from fibercode.gf2 import (
 from fibercode.homotopy import HomotopyEquivalence, transpose_equivalence
 
 __all__ = [
+    "EXACT_MAX_DEGREE",
     "DecodeSuccess",
     "DecodeResult",
     "ErasureSet",
@@ -65,6 +66,9 @@ __all__ = [
     "decode_brute_force",
     "with_coset_verdict",
 ]
+
+# The highest base check degree whose 2^degree rewrites exact mode walks.
+EXACT_MAX_DEGREE = 16
 
 
 class DecodeSuccess(str, Enum):
@@ -369,7 +373,7 @@ def fixable_test(
     if deg == 0:
         return None
     if mode == "exact":
-        if deg > 16:
+        if deg > EXACT_MAX_DEGREE:
             raise ValueError(
                 "exact mode enumerates 2^degree rewrites; use alternating"
             )

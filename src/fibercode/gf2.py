@@ -4,9 +4,9 @@ Matrices store one Python int per row, bit j of row i being entry (i, j).
 Rows never change after construction. Each matrix caches its transpose
 and one elimination record, the RREF of [M | I], so it is eliminated at
 most once however many rank, solve, kernel or membership queries it
-answers. Matrices and chains can be shared freely between threads, such
-as the CLI's ``--threads`` workers: a cache depends on the rows alone,
-so two threads racing to fill it store equal values and either may win.
+answers. Matrices and chains can be shared freely between threads: a
+cache depends on the rows alone, so two threads racing to fill it store
+equal values and either may win.
 Elimination is deterministic: the record is the reduced row echelon form,
 whose pivot columns and reduced rows depend on the matrix alone.
 """
@@ -19,18 +19,12 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "BitChain",
     "Gf2Matrix",
-    "parity",
     "bits_from_support",
     "gray_walk",
     "GRAY_WALK_MAX_DIM",
     "to_alist",
     "from_alist",
 ]
-
-
-def parity(x: int) -> int:
-    """Parity of the popcount of a nonnegative int."""
-    return x.bit_count() & 1
 
 
 def bits_from_support(support: Iterable[int]) -> int:
@@ -123,12 +117,6 @@ class BitChain:
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.length and (self.bits >> i) & 1 == 1
-
-    def dot(self, other: "BitChain") -> int:
-        """GF(2) inner product."""
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return parity(self.bits & other.bits)
 
 
 class Gf2Matrix:

@@ -4,12 +4,10 @@ Two chain complexes are treated as interchangeable codes when they are
 homotopy equivalent through maps with small Lipschitz constants: the
 equivalence transports minimum-distance bounds and decoders between
 them. This module provides the equivalence algebra (chain maps,
-homotopies, exact verification, Lipschitz measurement, composition and
-transposition), the two elementary rewrites that generate equivalences
-— combining the two edges meeting at a degree-2 vertex, and collapsing
-an edge with two endpoints — and weight reduction (Hastings,
-arXiv:1611.03790), which caps every bit and check degree of a classical
-code at 3 and carries twisted circle bundles along with their base.
+homotopies, exact verification, Lipschitz measurement, reversal and
+transposition) and weight reduction (Hastings, arXiv:1611.03790), which
+caps every bit and check degree of a classical code at 3 and carries
+twisted circle bundles along with their base.
 
 Weight reduction is a fixed splitting: every bit and check becomes one
 copy per incidence, chained by auxiliary cells. Its equivalence is
@@ -46,8 +44,6 @@ from fibercode.gf2 import Gf2Matrix, from_alist, to_alist
 __all__ = [
     "ChainMap",
     "HomotopyEquivalence",
-    "combine_cells",
-    "collapse_cell",
     "transpose_equivalence",
     "reverse_equivalence",
     "weight_reduce_classical",
@@ -88,19 +84,6 @@ class ChainMap:
     def identity(cls, cx: ChainComplex) -> "ChainMap":
         return cls(cx, cx, tuple(Gf2Matrix.identity(d) for d in cx.dims))
 
-    def __matmul__(self, other: "ChainMap") -> "ChainMap":
-        """Composition self(other(.)): other runs first."""
-        if other.target != self.source:
-            raise ValueError("composition endpoints do not meet")
-        return ChainMap(
-            other.source,
-            self.target,
-            tuple(a @ b for a, b in zip(self.maps, other.maps)),
-        )
-
-    def apply(self, j: int, chain):
-        return self.maps[j].mul_chain(chain)
-
     def lipschitz(self) -> tuple[int, ...]:
         """Per-degree max image weight of a basis cell (max column weight)."""
         return tuple(m.max_col_weight() for m in self.maps)
@@ -124,9 +107,9 @@ class HomotopyEquivalence:
 
     h_source[j]: A_j -> A_{j+1} witnesses gf + I = h d + d h on A and
     h_target does the same for fg on B. Shapes are enforced here; the
-    defining identities are checked by verify(), which the rewrite
-    constructors call before returning. An equivalence remembers that
-    verify() passed, outside its value, and its reversal and
+    defining identities are checked by verify(), which weight reduction
+    and load_equivalence call before returning. An equivalence remembers
+    that verify() passed, outside its value, and its reversal and
     transposition inherit that record.
     """
 
@@ -189,27 +172,6 @@ class HomotopyEquivalence:
             "g_transpose": self.g.transpose_lipschitz(),
         }
 
-    def compose(self, other: "HomotopyEquivalence") -> "HomotopyEquivalence":
-        """Chain self: A <-> B with other: B <-> C into A <-> C."""
-        if other.f.source != self.f.target:
-            raise ValueError("composition endpoints do not meet")
-        k = self.f.source.top_degree
-        f = other.f @ self.f
-        g = self.g @ other.g
-        h_source = []
-        for j in range(k + 1):
-            m = self.h_source[j]
-            if j < k:
-                m = m + self.g.maps[j + 1] @ other.h_source[j] @ self.f.maps[j]
-            h_source.append(m)
-        h_target = []
-        for j in range(k + 1):
-            m = other.h_target[j]
-            if j < k:
-                m = m + other.f.maps[j + 1] @ self.h_target[j] @ other.g.maps[j]
-            h_target.append(m)
-        return HomotopyEquivalence(f, g, tuple(h_source), tuple(h_target))
-
 
 def _homotopy_holds(
     cx: ChainComplex,
@@ -228,24 +190,14 @@ def _homotopy_holds(
     return True
 
 
-def transpose_equivalence(
-    equiv: HomotopyEquivalence,
-    source: ChainComplex | None = None,
-    target: ChainComplex | None = None,
-) -> HomotopyEquivalence:
+def transpose_equivalence(equiv: HomotopyEquivalence) -> HomotopyEquivalence:
     """Equivalence between the transposed complexes.
 
     Forward and reverse maps swap and transpose; each homotopy stays on
-    its own side. Optional source/target supply existing complex objects
-    (they must equal the computed transposes, else ValueError),
-    preserving labels.
+    its own side.
     """
     a, b = equiv.f.source, equiv.f.target
     ta, tb = transpose_complex(a), transpose_complex(b)
-    if source not in (None, ta) or target not in (None, tb):
-        raise ValueError("source and target must be the transposed complexes")
-    ta = ta if source is None else source
-    tb = tb if target is None else target
     k = a.top_degree
 
     def flip(h: tuple[Gf2Matrix, ...], cx: ChainComplex) -> tuple[Gf2Matrix, ...]:
@@ -270,104 +222,6 @@ def reverse_equivalence(equiv: HomotopyEquivalence) -> HomotopyEquivalence:
     return equiv._inheriting(
         HomotopyEquivalence(equiv.g, equiv.f, equiv.h_target, equiv.h_source)
     )
-
-
-# -- elementary rewrites -------------------------------------------------------
-
-
-def combine_cells(
-    cx: ChainComplex, v: int
-) -> tuple[ChainComplex, HomotopyEquivalence]:
-    """Merge the two edges meeting at 0-cell v into one, removing v.
-
-    The 0-cell must have exactly two 1-cells e1 < e2 in its coboundary.
-    The merged edge keeps e1's slot and label; e2 and v disappear. The
-    forward map sends e1 to the merged edge, e2 to zero, and v to the
-    rest of e2's boundary; the reverse map opens the merged edge back up
-    to e1 + e2; the homotopy pushes v along e2.
-    """
-    if cx.top_degree != 1:
-        raise ValueError("cell combining works on 1-complexes")
-    d1 = cx.boundary(1)
-    n0, n1 = cx.dims
-    if not 0 <= v < n0:
-        raise ValueError(f"0-cell {v} out of range")
-    cob = d1.row_support(v)
-    if len(cob) != 2:
-        raise ValueError(
-            f"0-cell {v} has {len(cob)} coboundary cells, need exactly 2"
-        )
-    e1, e2 = cob
-
-    keep0 = [a for a in range(n0) if a != v]
-    keep1 = [e for e in range(n1) if e != e2]
-    pos0 = {a: i for i, a in enumerate(keep0)}
-    pos1 = {e: i for i, e in enumerate(keep1)}
-
-    f0 = Gf2Matrix.from_col_support(
-        [
-            [pos0[x] for x in d1.col_support(e2) if x != v]
-            if a == v
-            else [pos0[a]]
-            for a in range(n0)
-        ],
-        len(keep0),
-    )
-    f1 = Gf2Matrix.from_col_support(
-        [[] if e == e2 else [pos1[e]] for e in range(n1)], len(keep1)
-    )
-    g0 = Gf2Matrix.from_col_support([[a] for a in keep0], n0)
-    g1 = Gf2Matrix.from_col_support(
-        [[e1, e2] if e == e1 else [e] for e in keep1], n1
-    )
-    h0 = Gf2Matrix.from_col_support(
-        [[e2] if a == v else [] for a in range(n0)], n1
-    )
-
-    merged_boundary = f0 @ d1 @ g1
-    labels = None
-    if cx.labels is not None:
-        labels = (
-            tuple(cx.labels[0][a] for a in keep0),
-            tuple(cx.labels[1][e] for e in keep1),
-        )
-    rewritten = ChainComplex((len(keep0), len(keep1)), (merged_boundary,), labels)
-
-    equiv = HomotopyEquivalence(
-        ChainMap(cx, rewritten, (f0, f1)),
-        ChainMap(rewritten, cx, (g0, g1)),
-        (h0, Gf2Matrix.zeros(0, n1)),
-        _zero_homotopy(rewritten),
-    )
-    if not equiv.verify():
-        raise RuntimeError("cell combine produced an invalid equivalence")
-    return rewritten, equiv
-
-
-def collapse_cell(
-    cx: ChainComplex, e: int
-) -> tuple[ChainComplex, HomotopyEquivalence]:
-    """Contract 1-cell e, merging its two endpoint 0-cells.
-
-    Dual of combine_cells: transpose the complex, combine at what is now
-    a 0-cell, and transpose back. The merged 0-cell keeps the slot and
-    label of the lower endpoint.
-    """
-    if cx.top_degree != 1:
-        raise ValueError("cell collapsing works on 1-complexes")
-    if not 0 <= e < cx.dims[1]:
-        raise ValueError(f"1-cell {e} out of range")
-    ends = cx.boundary(1).col_support(e)
-    if len(ends) != 2:
-        raise ValueError(
-            f"1-cell {e} has {len(ends)} boundary cells, need exactly 2"
-        )
-    flipped, equiv_t = combine_cells(transpose_complex(cx), e)
-    rewritten = transpose_complex(flipped)
-    equiv = transpose_equivalence(equiv_t, source=cx, target=rewritten)
-    if not equiv.verify():
-        raise RuntimeError("cell collapse produced an invalid equivalence")
-    return rewritten, equiv
 
 
 # -- weight reduction ------------------------------------------------------------

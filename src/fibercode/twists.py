@@ -99,10 +99,6 @@ class TwistGraph:
     def k_types(self) -> int:
         return len(self.shifts)
 
-    @property
-    def ell_is_odd(self) -> bool:
-        return self.ell % 2 == 1
-
     def kappa(self) -> float:
         return kappa_closed_form(self.ell, self.shifts)
 
@@ -174,9 +170,6 @@ class TwistAssignment:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.edges)
 
-    def get(self, var: int, check: int) -> int:
-        return self.as_dict().get((var, check), 0)
-
 
 def assign_twists(
     code: PartitionedBaseCode, graph: TwistGraph
@@ -195,16 +188,6 @@ def assign_twists(
             edges.append(((j, a), twist))
     edges.sort()
     return TwistAssignment(ell=graph.ell, edges=tuple(edges))
-
-
-def tail_twists_per_check(
-    code: PartitionedBaseCode, graph: TwistGraph
-) -> list[int]:
-    """The sidecar's fourth field: one tail twist value per check."""
-    return [
-        (graph.ell * graph.shifts[code.type_of(a)]) % (graph.ell**2)
-        for a in range(code.m)
-    ]
 
 
 # -- twist graph code ---------------------------------------------------------

@@ -11,7 +11,10 @@ The Z decoder whose greedy phase scores every horizontal cell in a
 Python loop, asking each leg for its nearest syndrome point: the
 reference for the dilated-mask scan of ``decode_z``.
 
-The bodies are the former decoder functions, unchanged.
+Integration along the fiber as explicit matrices: the reference for the
+bit-sliced ``_fiber_parities`` of the X decoder.
+
+The decoder bodies are the former decoder functions, unchanged.
 
 Not collected by pytest; the differential tests import it.
 """
@@ -34,7 +37,7 @@ from fibercode.decoders import (
     _ror,
     flip_solve_coboundary,
 )
-from fibercode.gf2 import BitChain
+from fibercode.gf2 import BitChain, Gf2Matrix
 
 
 def _column_satisfaction(counts: Iterable[int], deg: int) -> int:
@@ -310,3 +313,19 @@ def decode_z(
         moves + toggles,
         fail_notes,
     )
+
+
+def fiber_integration_maps(bundle: Bundle) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """(K1, K2): keep fiber-degree-1 cells, remembering the base cell.
+
+    K1 sends v(a, i) to a and kills horizontal cells; K2 sends q(b, i)
+    to b. They satisfy K1 d2 = d_base K2, a chain map dropping the degree.
+    """
+    mf = bundle.m_fiber
+    cols1: list[list[int]] = [[] for _ in range(bundle.n_vars * mf)] + [
+        [i // mf] for i in range(bundle.n_checks * mf)
+    ]
+    k1 = Gf2Matrix.from_col_support(cols1, bundle.n_checks)
+    cols2 = [[i // mf] for i in range(bundle.n_vars * mf)]
+    k2 = Gf2Matrix.from_col_support(cols2, bundle.n_vars)
+    return k1, k2

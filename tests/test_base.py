@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibercode import base
 from fibercode.base import (
     GEN_BASE_ATTEMPTS,
     CertificateParams,
     PartitionedBaseCode,
     certify_base,
-    counique_neighbors,
     export_base_sidecar,
     gen_base,
     min_distance,
@@ -65,7 +65,6 @@ def test_gen_base_shape_and_partition():
     assert [code.type_of(a) for a in range(code.m)] == [
         a // 3 for a in range(12)
     ]
-    assert list(code.checks_of_type(1)) == [3, 4, 5]
 
 
 @pytest.mark.parametrize("n,delta", [(16, 6), (16, 8), (24, 6), (32, 8)])
@@ -149,16 +148,6 @@ def test_min_distance_matches_brute_force(seed):
     assert dist == _brute_force_distance(mat)
 
 
-def test_counique_neighbors():
-    code = _toy_code()
-    counique, owner = counique_neighbors(code, {0})
-    assert counique == {0, 1}
-    assert owner == 0  # 2 counique of 2 neighbors, above the .8 fraction
-    counique, owner = counique_neighbors(code, {0, 1})
-    assert counique == {0, 2}
-    assert owner is None  # each check has half counique, not > 80%
-
-
 def test_expansion_reflected_in_certificate():
     code = _toy_code()
     cert = certify_base(code, CertificateParams.structural_only())
@@ -180,8 +169,26 @@ def test_rank_deficient_base_fails_every_scale():
     )
     cert = certify_base(code, CertificateParams.structural_only())
     assert not cert.full_rank
-    assert cert.degree_ok and cert.expansion_ok and cert.min_dist_ok
+    assert cert.degree_ok and cert.expansion_ok
+    # A failed cheap check skips the kernel walk, which then never passes.
+    assert (cert.min_dist_estimate, cert.min_dist_method) == (None, "skipped")
+    assert not cert.min_dist_ok
     assert not cert.passed
+
+
+def test_gen_base_walks_only_attempts_that_pass_the_cheap_checks(monkeypatch):
+    # 1 of these 46 attempts passes the degree, rank and expansion checks.
+    walks = []
+
+    def counting(mat):
+        walks.append(mat)
+        return min_distance(mat)
+
+    monkeypatch.setattr(base, "min_distance", counting)
+    code, cert = gen_base(88, 8, 2, seed=1)
+    assert cert.passed and cert.attempts == 46
+    assert len(walks) == 1
+    assert walks[0] == code.matrix()
 
 
 def test_as_complex():
@@ -232,6 +239,27 @@ def test_sidecar_rejects_variable_out_of_range(index):
     with pytest.raises(ValueError):
         parse_base_sidecar(text)
     parse_base_sidecar(text.replace(f"; {index}", "; 1"))
+
+
+@pytest.mark.parametrize("n, delta", [(0, 2), (-3, 2), (2, 0), (2, -1)])
+def test_constructor_refuses_nonpositive_parameters(n, delta):
+    with pytest.raises(ValueError, match="positive"):
+        PartitionedBaseCode(
+            n=n, delta=delta, k_types=1, seed=0, adjacency=(), heads=(), tails=()
+        )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "n 2 m 1 delta 0 k_types 1 seed 0\n0; 0; 1\n",
+        "n -3 m 0 delta 2 k_types 1 seed 0\n",
+        "n 0 m 0 delta 2 k_types 1 seed 0\n",
+    ],
+)
+def test_sidecar_refuses_nonpositive_parameters(body):
+    with pytest.raises(ValueError, match="positive"):
+        parse_base_sidecar("fibercode-base v1\n" + body)
 
 
 def test_heads_tails_validation():

@@ -94,12 +94,12 @@ class TestConfig:
             trials_per_point=7,
             master_seed=11,
         )
-        config = load_config(str(cfg), seed=99, out="elsewhere", threads=3)
+        config = load_config(str(cfg), seed=99, out="elsewhere")
         assert config.family == "cycle"  # from the preset
         assert config.trials_per_point == 7  # from the file
         assert config.master_seed == 99  # flag beats file
         assert config.out_dir == "elsewhere"
-        assert config.threads == 3
+        assert config.threads == 1
 
     def test_sequence_values_become_tuples(self, tmp_path):
         cfg = write_config(
@@ -134,6 +134,7 @@ class TestConfig:
             {"trials_per_point": 0},
             {"x_weights": []},
             {"threads": 0},
+            {"threads": 2},
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, overrides):
@@ -426,14 +427,22 @@ class TestCmdBenchDecoders:
         assert by_model[("z-bitflip", "1")][6] == "True"
         assert by_model[("x-bitflip", "1")][6] == "False"
 
-    def test_deterministic_across_runs_and_threads(self, toric):
+    def test_deterministic_across_runs_and_threads(self, toric, tmp_path):
         cfg, out = toric
         assert main(["--config", str(cfg), "bench-decoders"]) == EXIT_OK
         first = (out / "bench_trials.csv").read_bytes()
-        assert (
+        assert main(["--config", str(cfg), "bench-decoders"]) == EXIT_OK
+        assert (out / "bench_trials.csv").read_bytes() == first
+        # Trials run in one thread: no flag sets another count, and a
+        # config that asks for one is refused.
+        with pytest.raises(SystemExit) as info:
             main(["--config", str(cfg), "--threads", "4", "bench-decoders"])
-            == EXIT_OK
+        assert info.value.code == EXIT_HARD
+        threaded = write_config(
+            tmp_path / "c.json",
+            **{**json.loads(cfg.read_text(encoding="utf-8")), "threads": 2},
         )
+        assert main(["--config", str(threaded), "bench-decoders"]) == EXIT_HARD
         assert (out / "bench_trials.csv").read_bytes() == first
 
     def test_certified_instance_weight_one_perfect(self, desk):
@@ -468,6 +477,38 @@ class TestCmdBenchDecoders:
         assert capsys.readouterr().out == (
             f"bad config: {name} exceed the {n_qubits} qubits\n"
         )
+
+    def test_exact_mode_refuses_a_high_degree_base(self, tmp_path, capsys):
+        # This base certifies with check degrees 9 to 17; exact mode
+        # walks 2^degree rewrites and stops at degree 16.
+        out = tmp_path / "out"
+        values = {
+            "preset": "custom",
+            "n": 48,
+            "delta": 12,
+            "k_types": 4,
+            "ell": 5,
+            "out_dir": str(out),
+        }
+        cfg = write_config(tmp_path / "c.json", **values)
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "bench-decoders"]) == EXIT_HARD
+        assert capsys.readouterr().out == (
+            "bad config: decoder_mode exact needs base check degrees <= 16, "
+            "the base has 17\n"
+        )
+        assert not (out / "bench_trials.csv").exists()
+        alternating = write_config(
+            tmp_path / "a.json",
+            **values,
+            decoder_mode="alternating",
+            trials_per_point=1,
+            x_weights=[1],
+            z_weights=[1],
+            erasure_sizes=[2],
+        )
+        assert main(["--config", str(alternating), "bench-decoders"]) == EXIT_OK
 
 
 class TestCmdTwistcodeMc:

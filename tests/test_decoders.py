@@ -22,7 +22,6 @@ from fibercode.bundle import (
     build_bundle,
     build_fiber_bundle_code,
     cycle_base,
-    fiber_integration_maps,
     projection_maps,
 )
 from fibercode.decoders import (
@@ -203,7 +202,7 @@ class TestDecodeX:
                 assert verdict.success is DecodeSuccess.VERIFIED
 
     def test_fiber_integration_of_syndromes(self, toy):
-        _, k2 = fiber_integration_maps(toy)
+        _, k2 = decoder_reference.fiber_integration_maps(toy)
         for a in range(toy.n_checks):
             truth = BitChain.from_support(40, [toy.v_cell(a, 2)])
             pushed = k2.mul_chain(syndrome_x(toy, truth))
@@ -214,7 +213,7 @@ class TestDecodeX:
         assert k2.mul_chain(syndrome_x(toy, horizontal)) == BitChain(4, 0)
 
     def test_fiber_parities_match_the_maps(self, toy):
-        _, k2 = fiber_integration_maps(toy)
+        _, k2 = decoder_reference.fiber_integration_maps(toy)
         p0, _ = projection_maps(toy)
         rng = random.Random(3)
         for _ in range(200):

@@ -13,7 +13,6 @@ from fibercode.gf2 import (
     bits_from_support,
     from_alist,
     gray_walk,
-    parity,
     to_alist,
 )
 
@@ -36,12 +35,6 @@ def matrices(draw, max_rows=8, max_cols=8):
     return Gf2Matrix(rows, n)
 
 
-def test_parity():
-    assert parity(0) == 0
-    assert parity(0b1011) == 1
-    assert parity(0b11) == 0
-
-
 def test_bitchain_basics():
     c = BitChain.from_support(5, [0, 3])
     assert c.weight() == 2
@@ -53,13 +46,6 @@ def test_bitchain_basics():
         BitChain(3, 0b1000)
     with pytest.raises(ValueError):
         c ^ BitChain(4, 0)
-
-
-def test_bitchain_dot():
-    a = BitChain.from_support(4, [0, 1])
-    b = BitChain.from_support(4, [1, 2])
-    assert a.dot(b) == 1
-    assert a.dot(a) == 0
 
 
 def test_rank_frozen_example():

@@ -21,7 +21,6 @@ from fibercode.twists import (
     parse_twist_graph,
     sample_violation_rate,
     serialize_twist_graph,
-    tail_twists_per_check,
     twist_code_matrix,
 )
 
@@ -103,10 +102,6 @@ class TestGeneration:
         assert info.value.best_kappa == pytest.approx(1.0)
         assert info.value.best.ell == 2
 
-    def test_odd_class_count_flag(self):
-        assert TwistGraph(ell=5, shifts=(1,)).ell_is_odd
-        assert not TwistGraph(ell=4, shifts=(1,)).ell_is_odd
-
 
 class TestAssignment:
     def test_tails_rotate_heads_do_not(self):
@@ -125,11 +120,6 @@ class TestAssignment:
     def test_type_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             assign_twists(_toy_code(), TwistGraph(ell=3, shifts=(1,)))
-
-    def test_sidecar_tail_column(self):
-        code = _toy_code()
-        graph = TwistGraph(ell=3, shifts=(2, 1))
-        assert tail_twists_per_check(code, graph) == [6, 3]
 
 
 class TestTwistCode:
