@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from fibercode.complexes import ChainComplex
 from fibercode.gf2 import (
@@ -180,11 +179,7 @@ class PartitionedBaseCode:
         return Gf2Matrix.from_row_support(self.adjacency, self.n)
 
     def as_complex(self) -> ChainComplex:
-        labels = (
-            tuple(f"c{a}" for a in range(self.m)),
-            tuple(f"b{j}" for j in range(self.n)),
-        )
-        return ChainComplex((self.m, self.n), (self.matrix(),), labels)
+        return ChainComplex((self.m, self.n), (self.matrix(),))
 
 
 def _sample_code(
@@ -340,14 +335,10 @@ def gen_base(
 _SIDECAR_HEADER = "fibercode-base v1"
 
 
-def export_base_sidecar(
-    code: PartitionedBaseCode,
-    tail_twists: Sequence[int] | None = None,
-) -> str:
-    """Per-check partition data; optional fourth field is the tail twist.
+def export_base_sidecar(code: PartitionedBaseCode) -> str:
+    """Per-check partition data: type, heads and tails, one check a line.
 
-    Twists in the bundle construction are zero on heads and a per-check
-    constant on tails, so one value per check reconstructs every edge.
+    The twists are not here: bundle.json holds them edge by edge.
     """
     lines = [
         _SIDECAR_HEADER,
@@ -360,29 +351,25 @@ def export_base_sidecar(
             " ".join(str(j) for j in sorted(code.heads[a])),
             " ".join(str(j) for j in sorted(code.tails[a])),
         ]
-        if tail_twists is not None:
-            fields.append(str(tail_twists[a]))
         lines.append("; ".join(fields))
     return "\n".join(lines) + "\n"
 
 
-def parse_base_sidecar(
-    text: str,
-) -> tuple[PartitionedBaseCode, tuple[int, ...] | None]:
+def parse_base_sidecar(text: str) -> PartitionedBaseCode:
     """Parse the text export_base_sidecar writes, and nothing else.
 
-    Reads n, delta, k_types and seed, and each check's heads, tails and
-    optional twist; the header, m and the type fields are checked by
-    comparing the rebuilt sidecar with the input.
+    Reads n, delta, k_types and seed, and each check's heads and tails;
+    a check line with any other field count is refused, and the header,
+    m and the type fields are checked by comparing the rebuilt sidecar
+    with the input.
     """
     _, meta, *checks = text.splitlines()
     n, _, delta, k_types, seed = (int(v) for v in meta.split()[1::2])
-    heads, tails, twists = [], [], []
+    heads, tails = [], []
     for line in checks:
-        _, hs, ts, *twist = line.split("; ")
+        _, hs, ts = line.split("; ")
         heads.append(tuple(int(j) for j in hs.split()))
         tails.append(tuple(int(j) for j in ts.split()))
-        twists.extend(int(t) for t in twist)
     code = PartitionedBaseCode(
         n=n,
         delta=delta,
@@ -392,7 +379,6 @@ def parse_base_sidecar(
         heads=tuple(heads),
         tails=tuple(tails),
     )
-    tail_twists = tuple(twists) if twists and len(twists) == code.m else None
-    if export_base_sidecar(code, tail_twists) != text:
+    if export_base_sidecar(code) != text:
         raise ValueError("not a sidecar in the form export_base_sidecar writes")
-    return code, tail_twists
+    return code

@@ -9,6 +9,9 @@ for the fiber length:
               vertical cells (check, fiber 1-cell);
     degree 0: m * m_F cells, one per (check, fiber 0-cell).
 
+A cell is its index in that order and carries no name; h_cell, v_cell,
+c0_cell and c2_cell compute the index from (base cell, fiber position).
+
 Each Tanner edge (b, a) carries a twist in Z_{m_F}: the horizontal cell
 over b at fiber position u attaches to the fiber over a at position
 u + twist(b, a). Boundaries:
@@ -25,7 +28,7 @@ lifts, and a report on when the projection induces a degree-1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from fibercode.base import PartitionedBaseCode
 from fibercode.complexes import ChainComplex, CssCode, css_from_complex
 from fibercode.gf2 import BitChain, Gf2Matrix
-from fibercode.twists import TwistAssignment, TwistGraph, assign_twists
+from fibercode.twists import TwistGraph, assign_twists
 
 __all__ = [
     "Bundle",
@@ -62,7 +65,6 @@ class PlainBase:
     n: int
     m: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[tuple[str, ...], tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != self.m:
@@ -72,10 +74,6 @@ class PlainBase:
                 raise ValueError("adjacency entry out of range")
             if list(row) != sorted(set(row)):
                 raise ValueError("adjacency rows must be sorted and distinct")
-        if self.labels is not None and (
-            len(self.labels[0]) != self.m or len(self.labels[1]) != self.n
-        ):
-            raise ValueError("labels must cover every check and variable")
 
     @classmethod
     def from_complex(cls, cx: ChainComplex) -> "PlainBase":
@@ -86,7 +84,6 @@ class PlainBase:
             n=cx.dims[1],
             m=cx.dims[0],
             adjacency=tuple(d1.row_support(a) for a in range(cx.dims[0])),
-            labels=cx.labels,
         )
 
     def matrix(self) -> Gf2Matrix:
@@ -95,13 +92,7 @@ class PlainBase:
         )
 
     def as_complex(self) -> ChainComplex:
-        labels = self.labels
-        if labels is None:
-            labels = (
-                tuple(f"c{a}" for a in range(self.m)),
-                tuple(f"b{j}" for j in range(self.n)),
-            )
-        return ChainComplex((self.m, self.n), (self.matrix(),), labels)
+        return ChainComplex((self.m, self.n), (self.matrix(),))
 
 
 def cycle_base(length: int) -> PartitionedBaseCode:
@@ -204,15 +195,15 @@ class Bundle:
 def build_bundle(
     code: PartitionedBaseCode | PlainBase,
     m_fiber: int,
-    twists: TwistAssignment | dict[tuple[int, int], int] | None = None,
+    twists: dict[tuple[int, int], int] | None = None,
 ) -> Bundle:
-    """Assemble the total complex; twists default to zero everywhere."""
+    """Assemble the total complex; twists default to zero everywhere.
+
+    The bundle's ell is left None: a caller that built the twists from a
+    twist graph sets it with dataclasses.replace.
+    """
     if m_fiber < 1:
         raise ValueError("fiber must have at least one cell")
-    ell = None
-    if isinstance(twists, TwistAssignment):
-        ell = twists.ell
-        twists = twists.as_dict()
     twists = dict(twists or {})
     # Each adjacency entry is its own base 1-cell, so a repeat would
     # build a double edge that the base matrix cancels.
@@ -266,20 +257,13 @@ def build_bundle(
             cols2.append(col)
     d2 = Gf2Matrix.from_col_support(cols2, (n + m) * mf)
 
-    labels = (
-        tuple(f"c{a}.{u}" for a in range(m) for u in range(mf)),
-        tuple(f"h{b}.{u}" for b in range(n) for u in range(mf))
-        + tuple(f"v{a}.{i}" for a in range(m) for i in range(mf)),
-        tuple(f"q{b}.{i}" for b in range(n) for i in range(mf)),
-    )
-    cx = ChainComplex((m * mf, (n + m) * mf, n * mf), (d1, d2), labels)
+    cx = ChainComplex((m * mf, (n + m) * mf, n * mf), (d1, d2))
     cx.validate()
     return Bundle(
         base_code=code,
         m_fiber=mf,
         twists=tuple(sorted(twists.items())),
         complex=cx,
-        ell=ell,
     )
 
 
@@ -287,7 +271,8 @@ def build_fiber_bundle_code(
     code: PartitionedBaseCode, graph: TwistGraph
 ) -> Bundle:
     """The quantum construction: fiber of length ell^2, twisted per type."""
-    return build_bundle(code, graph.ell**2, assign_twists(code, graph))
+    bundle = build_bundle(code, graph.ell**2, assign_twists(code, graph))
+    return replace(bundle, ell=graph.ell)
 
 
 # -- projection ----------------------------------------------------------------

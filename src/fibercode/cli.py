@@ -500,8 +500,6 @@ def cmd_build(config: ExperimentConfig) -> int:
         if exc.details:
             print(_dump_json(exc.details), end="")
         return EXIT_HARD
-    built.bundle.complex.validate()
-    built.css.validate()
     out = Path(config.out_dir)
     artifacts = _build_artifacts(built)
     for name, text in artifacts.items():

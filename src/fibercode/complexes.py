@@ -2,7 +2,9 @@
 
 A complex of length k stores cell counts ``dims[0..k]`` and boundary
 matrices ``del_j`` of shape dims[j-1] x dims[j] for j = 1..k, satisfying
-del_j del_(j+1) = 0. Degree-j chains are BitChains of length dims[j].
+del_j del_(j+1) = 0. A cell is its index: degree-j cells are numbered
+0..dims[j]-1 and carry no name, so degree-j chains are BitChains of
+length dims[j].
 """
 
 from __future__ import annotations
@@ -22,21 +24,18 @@ __all__ = [
     "coset_min_weight_exact",
     "serialize_complex",
     "parse_complex",
-    "serialize_labels",
-    "parse_labels",
 ]
 
 
 class ChainComplex:
     """Finite chain complex over GF(2), immutable after construction."""
 
-    __slots__ = ("dims", "boundaries", "labels", "_maps")
+    __slots__ = ("dims", "boundaries", "_maps")
 
     def __init__(
         self,
         dims: Sequence[int],
         boundaries: Sequence[Gf2Matrix],
-        labels: Sequence[Sequence[str]] | None = None,
     ):
         dims = tuple(dims)
         boundaries = tuple(boundaries)
@@ -50,15 +49,8 @@ class ChainComplex:
                     f"boundary {j} has shape {mat.shape}, "
                     f"expected {(dims[j - 1], dims[j])}"
                 )
-        if labels is not None:
-            labels = tuple(tuple(lab) for lab in labels)
-            if len(labels) != len(dims) or any(
-                len(lab) != d for lab, d in zip(labels, dims)
-            ):
-                raise ValueError("labels must match dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "labels", labels)
         # The zero maps at both ends are built once, so the elimination
         # and transpose they cache persist across calls.
         maps = (
@@ -131,11 +123,6 @@ class ChainComplex:
         cocycles = self.boundary(j + 1).transpose().kernel_basis()
         return _new_classes(cocycles, self.boundary(j))
 
-    def label(self, j: int, i: int) -> str:
-        if self.labels is None:
-            return f"{j}:{i}"
-        return self.labels[j][i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -164,10 +151,7 @@ def transpose_complex(cx: ChainComplex) -> ChainComplex:
     k = cx.top_degree
     dims = tuple(reversed(cx.dims))
     boundaries = [cx.boundary(k + 1 - j).transpose() for j in range(1, k + 1)]
-    labels = None
-    if cx.labels is not None:
-        labels = tuple(reversed(cx.labels))
-    return ChainComplex(dims, boundaries, labels)
+    return ChainComplex(dims, boundaries)
 
 
 def cycle_complex(n: int) -> ChainComplex:
@@ -177,11 +161,7 @@ def cycle_complex(n: int) -> ChainComplex:
     boundary = Gf2Matrix.from_col_support(
         [(i, (i + 1) % n) for i in range(n)], n
     )
-    labels = (
-        tuple(f"v{i}" for i in range(n)),
-        tuple(f"e{i}" for i in range(n)),
-    )
-    return ChainComplex((n, n), (boundary,), labels)
+    return ChainComplex((n, n), (boundary,))
 
 
 # -- CSS extraction ---------------------------------------------------------
@@ -277,7 +257,6 @@ def coset_min_weight_exact(
 # -- serialization -----------------------------------------------------------
 
 _COMPLEX_HEADER = "fibercode-complex v1"
-_LABELS_HEADER = "fibercode-labels v1"
 
 
 def serialize_complex(cx: ChainComplex) -> str:
@@ -318,35 +297,3 @@ def parse_complex(text: str) -> ChainComplex:
     cx.validate()
     return cx
 
-
-def _labels_text(labels: Sequence[Sequence[str]]) -> str:
-    parts = [_LABELS_HEADER]
-    for j, block in enumerate(labels):
-        parts.append(f"degree {j} {len(block)}")
-        parts.extend(block)
-    return "\n".join(parts) + "\n"
-
-
-def serialize_labels(cx: ChainComplex) -> str:
-    return _labels_text(
-        [[cx.label(j, i) for i in range(d)] for j, d in enumerate(cx.dims)]
-    )
-
-
-def parse_labels(text: str) -> tuple[tuple[str, ...], ...]:
-    """Parse the text serialize_labels writes, and nothing else: each
-    block is read by the count on its degree line, and the labels must
-    give back the input text."""
-    lines = text.splitlines()
-    out = []
-    pos = 1
-    while pos < len(lines):
-        count = int(lines[pos].rpartition(" ")[2])
-        if count < 0:
-            raise ValueError(f"negative label count at line {pos + 1}")
-        out.append(tuple(lines[pos + 1 : pos + 1 + count]))
-        pos += 1 + count
-    labels = tuple(out)
-    if _labels_text(labels) != text:
-        raise ValueError("not a labels file in the form serialize_labels writes")
-    return labels

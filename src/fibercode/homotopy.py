@@ -34,7 +34,7 @@ with a zero homotopy term.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from fibercode.bundle import Bundle, PlainBase, build_bundle
@@ -106,11 +106,12 @@ class HomotopyEquivalence:
     """Chain maps f: A -> B and g: B -> A inverse up to the homotopies.
 
     h_source[j]: A_j -> A_{j+1} witnesses gf + I = h d + d h on A and
-    h_target does the same for fg on B. Shapes are enforced here; the
-    defining identities are checked by verify(), which weight reduction
-    and load_equivalence call before returning. An equivalence remembers
-    that verify() passed, outside its value, and its reversal and
-    transposition inherit that record.
+    h_target does the same for fg on B. Shapes are enforced here, and
+    ChainMap's constructor already guarantees that f and g commute with
+    the boundaries; the two homotopy identities are checked by verify(),
+    which weight reduction and load_equivalence call before returning.
+    An equivalence remembers that verify() passed, outside its value,
+    and its reversal and transposition inherit that record.
     """
 
     f: ChainMap
@@ -144,13 +145,11 @@ class HomotopyEquivalence:
         return cls(one, one, zero, zero)
 
     def verify(self) -> bool:
-        """All four defining identities, checked as exact matrix equations."""
+        """The two homotopy identities, gf + I = hd + dh on the source and
+        fg + I = hd + dh on the target, checked as exact matrix equations.
+        The other two, df = fd and dg = gd, hold by construction: every
+        ChainMap checks them in its constructor and is immutable."""
         a, b = self.f.source, self.f.target
-        for cm in (self.f, self.g):
-            k = cm.source.top_degree
-            for j in range(1, k + 1):
-                if cm.target.boundary(j) @ cm.maps[j] != cm.maps[j - 1] @ cm.source.boundary(j):
-                    return False
         ok = _homotopy_holds(a, self.g, self.f, self.h_source) and _homotopy_holds(
             b, self.f, self.g, self.h_target
         )
@@ -252,8 +251,10 @@ def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
 
     Every bit b becomes one copy per check it meets, chained by
     auxiliary equality checks; every check c becomes one copy per bit,
-    chained by auxiliary carry bits. Copies are labeled b{b}.c{c} and
-    c{c}.b{b}; auxiliaries ac{b}.{j} (checks) and ab{c}.{k} (bits).
+    chained by auxiliary carry bits. Reduced bits are numbered copies
+    b{b}.c{c} first, in bit order, then auxiliaries ab{c}.{k} in check
+    order; reduced checks are copies c{c}.b{b} first, in check order,
+    then auxiliaries ac{b}.{j} in bit order.
     """
     if cx.top_degree != 1:
         raise ValueError("weight reduction works on 1-complexes")
@@ -268,28 +269,26 @@ def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
         )
 
     bit_index: dict[tuple[int, int], int] = {}
-    bit_labels: list[str] = []
     aux_bit_index: dict[tuple[int, int], int] = {}
     for b in range(n1):
         for c in bit_checks[b]:
-            bit_index[(b, c)] = len(bit_labels)
-            bit_labels.append(f"b{b}.c{c}")
+            bit_index[(b, c)] = len(bit_index)
+    n_bits = len(bit_index)
     for c in range(n0):
         for k in range(1, len(check_bits[c])):
-            aux_bit_index[(c, k)] = len(bit_labels)
-            bit_labels.append(f"ab{c}.{k}")
+            aux_bit_index[(c, k)] = n_bits
+            n_bits += 1
 
     check_index: dict[tuple[int, int], int] = {}
-    check_labels: list[str] = []
     aux_check_index: dict[tuple[int, int], int] = {}
     for c in range(n0):
         for b in check_bits[c]:
-            check_index[(c, b)] = len(check_labels)
-            check_labels.append(f"c{c}.b{b}")
+            check_index[(c, b)] = len(check_index)
+    n_checks = len(check_index)
     for b in range(n1):
         for j in range(1, len(bit_checks[b])):
-            aux_check_index[(b, j)] = len(check_labels)
-            check_labels.append(f"ac{b}.{j}")
+            aux_check_index[(b, j)] = n_checks
+            n_checks += 1
 
     cols: list[list[int]] = []
     for b in range(n1):
@@ -307,9 +306,7 @@ def _reduced_layout(cx: ChainComplex) -> _ReducedLayout:
             cols.append([check_index[(c, bits[k - 1])], check_index[(c, bits[k])]])
 
     reduced = ChainComplex(
-        (len(check_labels), len(bit_labels)),
-        (Gf2Matrix.from_col_support(cols, len(check_labels)),),
-        (tuple(check_labels), tuple(bit_labels)),
+        (n_checks, n_bits), (Gf2Matrix.from_col_support(cols, n_checks),)
     )
     return _ReducedLayout(
         reduced,
@@ -490,12 +487,8 @@ def weight_reduce_bundle(bundle: Bundle) -> tuple[Bundle, HomotopyEquivalence]:
             reduced_twists[
                 (layout.bit_index[(b, a)], layout.check_index[(a, b)])
             ] = t % mf
-    built = build_bundle(PlainBase.from_complex(layout.complex), mf, reduced_twists)
-    reduced = Bundle(
-        base_code=built.base_code,
-        m_fiber=mf,
-        twists=built.twists,
-        complex=built.complex,
+    reduced = replace(
+        build_bundle(PlainBase.from_complex(layout.complex), mf, reduced_twists),
         ell=bundle.ell,
     )
 

@@ -30,7 +30,6 @@ __all__ = [
     "MAX_ELL",
     "CERTIFY_EXPANDER_ATTEMPTS",
     "TwistGraph",
-    "TwistAssignment",
     "ExpanderCertificationError",
     "kappa_closed_form",
     "kappa_dense",
@@ -151,43 +150,28 @@ def certify_expander(
     raise ExpanderCertificationError(best, best_kappa, CERTIFY_EXPANDER_ATTEMPTS)
 
 
-@dataclass(frozen=True)
-class TwistAssignment:
+def assign_twists(
+    code: PartitionedBaseCode, graph: TwistGraph
+) -> dict[tuple[int, int], int]:
     """Per-edge fiber rotations for a bundle over a partitioned base.
 
     Keys are (variable, check) pairs of the base Tanner graph; values are
     multiples of ell in Z_{ell^2}: zero on heads, ell * shift(type) on
     tails.
     """
-
-    ell: int
-    edges: tuple[tuple[tuple[int, int], int], ...]
-
-    @property
-    def m_fiber(self) -> int:
-        return self.ell * self.ell
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.edges)
-
-
-def assign_twists(
-    code: PartitionedBaseCode, graph: TwistGraph
-) -> TwistAssignment:
     if code.k_types != graph.k_types:
         raise ValueError(
             f"base has {code.k_types} types, twist graph has {graph.k_types}"
         )
-    edges = []
+    edges = {}
     for a in range(code.m):
         tau = code.type_of(a)
         twist = (graph.ell * graph.shifts[tau]) % (graph.ell**2)
         for j in code.heads[a]:
-            edges.append(((j, a), 0))
+            edges[(j, a)] = 0
         for j in code.tails[a]:
-            edges.append(((j, a), twist))
-    edges.sort()
-    return TwistAssignment(ell=graph.ell, edges=tuple(edges))
+            edges[(j, a)] = twist
+    return edges
 
 
 # -- twist graph code ---------------------------------------------------------

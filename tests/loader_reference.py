@@ -22,7 +22,6 @@ from fibercode.homotopy import ChainMap, HomotopyEquivalence
 from fibercode.twists import TwistGraph
 
 _COMPLEX_HEADER = "fibercode-complex v1"
-_LABELS_HEADER = "fibercode-labels v1"
 _SIDECAR_HEADER = "fibercode-base v1"
 
 
@@ -102,25 +101,6 @@ def parse_complex(text: str) -> ChainComplex:
     cx = ChainComplex(dims, boundaries)
     cx.validate()
     return cx
-
-
-def parse_labels(text: str) -> tuple[tuple[str, ...], ...]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _LABELS_HEADER:
-        raise ValueError("not a fibercode labels file")
-    out = []
-    pos = 1
-    while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 3 or head[0] != "degree":
-            raise ValueError(f"bad degree header at line {pos + 1}")
-        count = int(head[2])
-        block = lines[pos + 1 : pos + 1 + count]
-        if len(block) != count:
-            raise ValueError("truncated labels block")
-        out.append(tuple(block))
-        pos += 1 + count
-    return tuple(out)
 
 
 def parse_base_sidecar(

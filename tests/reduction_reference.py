@@ -88,7 +88,7 @@ def combine_cells(
     """Merge the two edges meeting at 0-cell v into one, removing v.
 
     The 0-cell must have exactly two 1-cells e1 < e2 in its coboundary.
-    The merged edge keeps e1's slot and label; e2 and v disappear. The
+    The merged edge keeps e1's slot; e2 and v disappear. The
     forward map sends e1 to the merged edge, e2 to zero, and v to the
     rest of e2's boundary; the reverse map opens the merged edge back up
     to e1 + e2; the homotopy pushes v along e2.
@@ -132,13 +132,7 @@ def combine_cells(
     )
 
     merged_boundary = f0 @ d1 @ g1
-    labels = None
-    if cx.labels is not None:
-        labels = (
-            tuple(cx.labels[0][a] for a in keep0),
-            tuple(cx.labels[1][e] for e in keep1),
-        )
-    rewritten = ChainComplex((len(keep0), len(keep1)), (merged_boundary,), labels)
+    rewritten = ChainComplex((len(keep0), len(keep1)), (merged_boundary,))
 
     equiv = HomotopyEquivalence(
         ChainMap(cx, rewritten, (f0, f1)),
@@ -157,8 +151,8 @@ def collapse_cell(
     """Contract 1-cell e, merging its two endpoint 0-cells.
 
     Dual of combine_cells: transpose the complex, combine at what is now
-    a 0-cell, and transpose back. The merged 0-cell keeps the slot and
-    label of the lower endpoint.
+    a 0-cell, and transpose back. The merged 0-cell keeps the slot of the
+    lower endpoint.
     """
     if cx.top_degree != 1:
         raise ValueError("cell collapsing works on 1-complexes")
@@ -200,23 +194,27 @@ def _reduction_pipeline(
     cur = layout.complex
     equiv = HomotopyEquivalence.identity(cur)
     steps: list[_RewriteStep] = []
+    # alive[j][i] is the layout index of the current complex's j-cell i.
+    alive = [list(range(d)) for d in cur.dims]
 
     for b in range(cx.dims[1]):
         for j in range(1, len(d1.col_support(b))):
-            site = cur.labels[0].index(f"ac{b}.{j}")
+            site = alive[0].index(layout.aux_check_index[(b, j)])
             merged = cur.boundary(1).row_support(site)
             nxt, step_eq = combine_cells(cur, site)
             steps.append(_RewriteStep("combine", site, merged, step_eq))
             equiv = compose(equiv, step_eq)
             cur = nxt
+            del alive[0][site], alive[1][merged[1]]
     for c in range(cx.dims[0]):
         for k in range(1, len(d1.row_support(c))):
-            site = cur.labels[1].index(f"ab{c}.{k}")
+            site = alive[1].index(layout.aux_bit_index[(c, k)])
             merged = cur.boundary(1).col_support(site)
             nxt, step_eq = collapse_cell(cur, site)
             steps.append(_RewriteStep("collapse", site, merged, step_eq))
             equiv = compose(equiv, step_eq)
             cur = nxt
+            del alive[1][site], alive[0][merged[1]]
 
     if cur.dims != cx.dims or cur.boundary(1) != d1:
         raise RuntimeError(

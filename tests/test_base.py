@@ -196,33 +196,25 @@ def test_as_complex():
     cx = code.as_complex()
     cx.validate()
     assert cx.dims == (3, 4)
-    assert cx.label(1, 2) == "b2"
+    # Variable 2 is 1-cell 2; its boundary is the checks that read it.
+    assert cx.boundary(1).col_support(2) == (1, 2)
 
 
 def test_sidecar_roundtrip_plain():
     code, _ = gen_base(16, 6, 4, seed=5)
     text = export_base_sidecar(code)
-    back, twists = parse_base_sidecar(text)
-    assert back == code
-    assert twists is None
-
-
-def test_sidecar_roundtrip_with_twists():
-    code, _ = gen_base(16, 8, 6, seed=9)
-    tail_twists = [3 * (a % 2 + 1) for a in range(code.m)]
-    text = export_base_sidecar(code, tail_twists)
-    back, twists = parse_base_sidecar(text)
-    assert back == code
-    assert twists == tuple(tail_twists)
+    assert parse_base_sidecar(text) == code
 
 
 def test_sidecar_rejects_mixed_twist_lines():
+    """Twists live in bundle.json: a tail-twist field is refused on one
+    check line or on all of them."""
     code, _ = gen_base(16, 6, 4, seed=5)
-    text = export_base_sidecar(code, [0] * code.m)
-    lines = text.splitlines()
-    lines[2] = ";".join(lines[2].split(";")[:3])  # drop one twist field
-    with pytest.raises(ValueError):
-        parse_base_sidecar("\n".join(lines) + "\n")
+    lines = export_base_sidecar(code).splitlines()
+    with_twist = [line + "; 0" for line in lines[2:]]
+    for checks in ([with_twist[0], *lines[3:]], with_twist):
+        with pytest.raises(ValueError):
+            parse_base_sidecar("\n".join(lines[:2] + checks) + "\n")
 
 
 @pytest.mark.parametrize("keep", [0, 1, 2])

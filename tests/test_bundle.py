@@ -85,12 +85,16 @@ class TestBuild:
         build_bundle(SimpleNamespace(n=2, m=1, adjacency=((0, 1),)), 3)
 
     def test_cell_layout_round_trip(self):
-        bundle = build_bundle(cycle_base(3), 5)
-        labels = bundle.complex.labels
-        assert labels[1][bundle.h_cell(2, 3)] == "h2.3"
-        assert labels[1][bundle.v_cell(1, 4)] == "v1.4"
-        assert labels[0][bundle.c0_cell(2, 1)] == "c2.1"
-        assert labels[2][bundle.c2_cell(0, 2)] == "q0.2"
+        # Check a reads variables a and a + 1 (mod 3); edge (2, 2) twists by 2.
+        bundle = build_bundle(cycle_base(3), 5, {(2, 2): 2})
+        h, v, c0, c2 = bundle.h_cell, bundle.v_cell, bundle.c0_cell, bundle.c2_cell
+        assert (h(2, 3), v(1, 4), c0(2, 1), c2(0, 2)) == (13, 24, 11, 2)
+        d1, d2 = bundle.complex.boundary(1), bundle.complex.boundary(2)
+        assert set(d1.col_support(h(2, 3))) == {c0(1, 3), c0(2, 0)}
+        assert set(d1.col_support(v(1, 4))) == {c0(1, 4), c0(1, 0)}
+        assert set(d1.row_support(c0(2, 1))) == {h(0, 1), h(2, 4), v(2, 0), v(2, 1)}
+        assert set(d2.col_support(c2(0, 2))) == {h(0, 2), h(0, 3), v(0, 2), v(2, 2)}
+        assert set(d2.col_support(c2(2, 4))) == {h(2, 4), h(2, 0), v(1, 4), v(2, 1)}
 
     @given(_small_bundles())
     @settings(max_examples=25, deadline=None)

@@ -12,9 +12,7 @@ from fibercode.complexes import (
     css_from_complex,
     cycle_complex,
     parse_complex,
-    parse_labels,
     serialize_complex,
-    serialize_labels,
     transpose_complex,
 )
 from fibercode.gf2 import BitChain, Gf2Matrix
@@ -181,21 +179,9 @@ def test_serialization_roundtrip(cx):
     assert back == cx
 
 
-def test_labels_roundtrip():
-    cx = cycle_complex(3)
-    labels = parse_labels(serialize_labels(cx))
-    assert labels == (("v0", "v1", "v2"), ("e0", "e1", "e2"))
-
-
 def test_parse_complex_rejects_garbage():
     with pytest.raises(ValueError):
         parse_complex("not a complex\n")
-
-
-def test_default_labels():
-    d1 = Gf2Matrix.zeros(1, 1)
-    cx = ChainComplex((1, 1), (d1,))
-    assert cx.label(0, 0) == "0:0"
 
 
 # -- membership tests and bases against the per-query reference -------------

@@ -12,6 +12,7 @@ from fibercode.gf2 import Gf2Matrix, to_alist
 from fibercode.homotopy import (
     ChainMap,
     HomotopyEquivalence,
+    _reduced_layout,
     load_equivalence,
     save_equivalence,
     transpose_equivalence,
@@ -27,12 +28,7 @@ def _path_complex(edges: int) -> ChainComplex:
     """A path with the given number of edges: betti (1, 0)."""
     cols = [[i, i + 1] for i in range(edges)]
     return ChainComplex(
-        (edges + 1, edges),
-        (Gf2Matrix.from_col_support(cols, edges + 1),),
-        (
-            tuple(f"p{i}" for i in range(edges + 1)),
-            tuple(f"e{i}" for i in range(edges)),
-        ),
+        (edges + 1, edges), (Gf2Matrix.from_col_support(cols, edges + 1),)
     )
 
 
@@ -142,7 +138,9 @@ class TestCombine:
         merged, equiv = combine_cells(cx, 1)
         assert merged.dims == (2, 1)
         assert merged.boundary(1).col_support(0) == (0, 1)
-        assert merged.labels == (("p0", "p2"), ("e0",))
+        # Points 0 and 2 survive in order; edge 0 keeps its slot.
+        assert [equiv.g.maps[0].col_support(a) for a in range(2)] == [(0,), (2,)]
+        assert equiv.f.maps[1].col_support(0) == (0,)
         assert equiv.verify()
 
     def test_hand_computed_maps(self):
@@ -185,7 +183,9 @@ class TestCollapse:
         cx = _path_complex(2)
         merged, equiv = collapse_cell(cx, 0)
         assert merged.dims == (2, 1)
-        assert merged.labels == (("p0", "p2"), ("e1",))
+        # Point 1 merges into point 0, point 2 moves to slot 1, edge 1 survives.
+        assert [equiv.f.maps[0].col_support(a) for a in range(3)] == [(0,), (0,), (1,)]
+        assert equiv.f.maps[1].col_support(1) == (0,)
         assert merged.boundary(1).col_support(0) == (0, 1)
         assert equiv.verify()
 
@@ -283,8 +283,14 @@ class TestClassicalReduction:
         reduced, equiv = weight_reduce_classical(cx)
         assert reduced.dims == (5, 3)
         assert equiv.verify()
-        assert reduced.labels[1] == ("b0.c0", "b0.c1", "b0.c2")
-        assert reduced.labels[0] == ("c0.b0", "c1.b0", "c2.b0", "ac0.1", "ac0.2")
+        layout = _reduced_layout(cx)
+        assert layout.complex == reduced
+        assert [layout.bit_index[(0, c)] for c in range(3)] == [0, 1, 2]
+        assert [layout.check_index[(c, 0)] for c in range(3)] == [0, 1, 2]
+        assert [layout.aux_check_index[(0, j)] for j in (1, 2)] == [3, 4]
+        # Copy i meets its check copy and the auxiliary checks beside it.
+        d1 = reduced.boundary(1)
+        assert [d1.col_support(x) for x in range(3)] == [(0, 3), (1, 3, 4), (2, 4)]
 
     def test_cell_counts_and_degrees(self):
         code = cycle_base(5)
@@ -384,11 +390,14 @@ class TestBundleReduction:
         reduced, _ = weight_reduce_bundle(bundle)
         live = {t for t in reduced.twist_of.values() if t % 5}
         assert live == {3}
-        labels = reduced.base_complex.labels
-        for (b, a), t in reduced.twist_of.items():
-            if t % 5:
-                assert labels[1][b] == "b2.c2"
-                assert labels[0][a] == "c2.b2"
+        layout = _reduced_layout(bundle.base_complex)
+        assert layout.complex == reduced.base_complex
+        copy = (layout.bit_index[(2, 2)], layout.check_index[(2, 2)])
+        assert copy == (5, 5)
+        assert [e for e, t in reduced.twist_of.items() if t % 5] == [copy]
+        # h(copy bit, 0) meets the copy check's fiber at position 3.
+        d1 = reduced.complex.boundary(1)
+        assert reduced.c0_cell(5, 3) in d1.col_support(reduced.h_cell(5, 0))
 
     def test_fiber_ell_carries_over(self):
         twists = {(0, 0): 3, (1, 1): 6}

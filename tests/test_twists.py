@@ -107,15 +107,13 @@ class TestAssignment:
     def test_tails_rotate_heads_do_not(self):
         code = _toy_code()
         graph = TwistGraph(ell=3, shifts=(1, 2))
-        assignment = assign_twists(code, graph)
-        twists = assignment.as_dict()
+        twists = assign_twists(code, graph)
         # Every Tanner edge appears exactly once.
         assert set(twists) == {(0, 0), (1, 0), (2, 0), (1, 1), (3, 1)}
         assert twists[(0, 0)] == 0 and twists[(2, 0)] == 0
         assert twists[(1, 0)] == 3  # tail of the type-0 check: ell * 1
         assert twists[(1, 1)] == 6  # tail of the type-1 check: ell * 2
         assert twists[(3, 1)] == 0
-        assert assignment.m_fiber == 9
 
     def test_type_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
